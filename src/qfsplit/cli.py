@@ -2,6 +2,9 @@
 
 Exit codes: 0 = analyzed, 2 = input error; `witt identity` exits 1 when the
 verification fails (which would indicate an arithmetic bug, not bad input).
+`batch` writes one report per catalog line, in input order.  Only `witt`
+reads a config file (`--config` or QFSPLIT_CONFIG; its one key is
+`witt_length_cap`).
 """
 
 from __future__ import annotations
@@ -9,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .config import ConfigError, resolve_config
@@ -18,7 +20,6 @@ from .localcoh import SocleSurvivesError
 from .report import (
     CatalogEntry,
     CatalogError,
-    Report,
     infer_variables,
     load_catalog,
     parse_doublecover,
@@ -52,18 +53,13 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--json", action="store_true", help="emit the JSON report")
     check.add_argument("--explain", action="store_true", help="include intermediates")
     check.add_argument("--timings", action="store_true", help="include timing_ms")
-    check.add_argument("--slack", type=int, help="membership candidate-bound slack")
-    check.add_argument("--config", help="config file path")
     check.add_argument("poly", help="polynomial text (f, or g for a double cover)")
 
     batch = sub.add_parser("batch", help="analyze a JSON Lines catalog")
     batch.add_argument("catalog", help="catalog path (JSON Lines of entries)")
     batch.add_argument("-o", "--output", help="report path (default: stdout)")
-    batch.add_argument("--jobs", type=int, default=1, help="parallel analyses")
     batch.add_argument("--explain", action="store_true")
     batch.add_argument("--timings", action="store_true")
-    batch.add_argument("--slack", type=int)
-    batch.add_argument("--config", help="config file path")
 
     witt = sub.add_parser("witt", help="Witt vector calculator")
     witt.add_argument(
@@ -76,16 +72,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _ring_for(p: int, texts: list[str], declared: str | None = None) -> PolyRing:
-    if declared:
-        names = tuple(v.strip() for v in declared.split(",") if v.strip())
-    else:
-        seen = []
-        for text in texts:
-            for name in infer_variables(text):
-                if name not in seen:
-                    seen.append(name)
-        names = tuple(sorted(seen))
+def _ring_for(p: int, texts: list[str]) -> PolyRing:
+    seen = []
+    for text in texts:
+        for name in infer_variables(text):
+            if name not in seen:
+                seen.append(name)
+    names = tuple(sorted(seen))
     if not names:
         names = ("x",)  # constant operands still need a ring context
     return PolyRing(p, names)
@@ -112,8 +105,6 @@ def _strip_witt_brackets(text: str) -> str:
 
 
 def _cmd_check(args) -> int:
-    config = resolve_config(args.config)
-    slack = args.slack if args.slack is not None else config.candidate_slack
     entry = CatalogEntry(
         name="cli", p=args.p, kind=args.kind, poly=args.poly, tags=()
     )
@@ -122,13 +113,13 @@ def _cmd_check(args) -> int:
         names = None
         if args.vars:
             names = tuple(v.strip() for v in args.vars.split(",") if v.strip())
-        parse_hypersurface(args.p, args.poly, names)
+        parsed = parse_hypersurface(args.p, args.poly, names)
     else:
-        parse_doublecover(args.p, args.poly)
-    report = run_entry(entry, explain=args.explain, max_n=args.max_n, slack=slack)
+        parsed = parse_doublecover(args.p, args.poly)
+    report = run_entry(entry, explain=args.explain, max_n=args.max_n, parsed=parsed)
     if report.error is not None:
         print(f"error: {report.error}", file=sys.stderr)
-        return 1
+        return 2
     if args.json:
         print(report.to_json(include_timing=args.timings))
     else:
@@ -139,20 +130,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    config = resolve_config(args.config)
-    slack = args.slack if args.slack is not None else config.candidate_slack
-    entries = load_catalog(args.catalog)
-    jobs = max(1, args.jobs)
-
-    def work(entry: CatalogEntry) -> Report:
-        return run_entry(entry, explain=args.explain, slack=slack)
-
-    if jobs == 1 or len(entries) <= 1:
-        reports = [work(entry) for entry in entries]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(work, entries))  # input order preserved
-
+    reports = [run_entry(entry, explain=args.explain) for entry in load_catalog(args.catalog)]
     lines = [r.to_json(include_timing=args.timings) for r in reports]
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:

@@ -1,8 +1,9 @@
-"""Runtime configuration shared by the CLI and the analysis entry points.
+"""Runtime configuration for the ``witt`` command.
 
 A config file is optional plain ``key=value`` lines ('#' starts a comment);
-its path comes from ``--config`` or the QFSPLIT_CONFIG environment
-variable, and individual CLI flags override file values.
+its path comes from ``qfsplit witt --config`` or the QFSPLIT_CONFIG
+environment variable.  The only key is ``witt_length_cap``, the longest
+``(a0; a1; ...)`` operand that ``witt add``/``witt mul`` accept.
 """
 
 from __future__ import annotations
@@ -12,13 +13,11 @@ from dataclasses import dataclass
 
 ENV_VAR = "QFSPLIT_CONFIG"
 
-_KEYS = ("truncation_degree", "candidate_slack", "witt_length_cap")
+_KEYS = ("witt_length_cap",)
 
 
 @dataclass
 class Config:
-    truncation_degree: int | None = None  # default 4p^2 where it applies
-    candidate_slack: int | None = None  # default p in the membership solver
     witt_length_cap: int = 8
 
     def merged(self, **overrides) -> "Config":

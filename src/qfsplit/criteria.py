@@ -67,12 +67,17 @@ def _require_nonzero(f: Poly) -> None:
         raise ZeroInputError("zero polynomial")
 
 
+def _clause1(f: Poly) -> tuple[Poly, bool]:
+    """f^{p-1}, and whether it lies outside (x_1^p, ..., x_n^p)."""
+    _require_nonzero(f)
+    power = f ** (f.ring.char - 1)
+    return power, not power.in_frobenius_power_ideal(1)
+
+
 def fedder_test(f: Poly) -> bool:
     """True iff f^{p-1} lies outside (x_1^p, ..., x_n^p), i.e. the
     hypersurface is F-split near the origin."""
-    _require_nonzero(f)
-    p = f.ring.char
-    return not (f ** (p - 1)).in_frobenius_power_ideal(1)
+    return _clause1(f)[1]
 
 
 def _conformance_flags(f: Poly) -> tuple[str, ...]:
@@ -84,11 +89,10 @@ def _conformance_flags(f: Poly) -> tuple[str, ...]:
 def quasi2_test(f: Poly) -> Verdict:
     """Height-2 test: F-split, or f^{p^2-p-1} * delta(f) outside
     (x_1^{p^2}, ..., x_n^{p^2})."""
-    _require_nonzero(f)
     p = f.ring.char
+    clause1_poly, split = _clause1(f)
     flags = _conformance_flags(f)
-    clause1_poly = f ** (p - 1)
-    if not clause1_poly.in_frobenius_power_ideal(1):
+    if split:
         return Verdict(
             f_split=True,
             quasi2=True,

@@ -3,6 +3,13 @@
 Vectors are dicts mapping hashable row keys to nonzero residues mod p.
 Pivot choice always takes the smallest sortable key, so every routine is
 deterministic for a fixed input order.
+
+Every routine runs on one echelon core, ``_eliminate``.  ``solve`` and
+``nullspace`` transpose their columns into equation rows keyed by column
+index; ``solve`` appends a provenance tail to each row: the right-hand side
+at key ``ncols`` and the row's multiplier on the i-th equation at key
+``ncols + 1 + i``.  Tail keys are never pivots, so the tail carries along
+exactly the multipliers that produced each reduced row.
 """
 
 from __future__ import annotations
@@ -20,6 +27,25 @@ def _axpy(target: dict, source: dict, factor: int, p: int) -> None:
             del target[k]
 
 
+def _eliminate(rows: dict, vec: dict, p: int, insert: bool = True, tail=None):
+    """Reduce vec in place against the echelon rows (pivot -> row with
+    leading entry 1) and return its leading key, or None once it is zero.
+
+    With insert, a nonzero remainder is normalized and stored as the row of
+    its leading key, unless that key is at or beyond ``tail``.
+    """
+    while vec:
+        pivot = min(vec)
+        row = rows.get(pivot)
+        if row is None:
+            if insert and (tail is None or pivot < tail):
+                inv = pow(vec[pivot], -1, p)
+                rows[pivot] = {k: (v * inv) % p for k, v in vec.items()}
+            return pivot
+        _axpy(vec, row, -vec[pivot] % p, p)
+    return None
+
+
 class GaussianBasis:
     """Row-echelon accumulator: feed vectors, query span membership and rank."""
 
@@ -30,23 +56,12 @@ class GaussianBasis:
     def reduce(self, vec: dict) -> dict:
         """Remainder of vec modulo the current row space."""
         vec = dict(vec)
-        while vec:
-            pivot = min(vec)
-            row = self.rows.get(pivot)
-            if row is None:
-                return vec
-            _axpy(vec, row, -vec[pivot] % self.p, self.p)
+        _eliminate(self.rows, vec, self.p, insert=False)
         return vec
 
     def add(self, vec: dict) -> bool:
         """Insert vec; returns True if it enlarged the span."""
-        rem = self.reduce(vec)
-        if not rem:
-            return False
-        pivot = min(rem)
-        inv = pow(rem[pivot], -1, self.p)
-        self.rows[pivot] = {k: (v * inv) % self.p for k, v in rem.items()}
-        return True
+        return _eliminate(self.rows, dict(vec), self.p) is not None
 
     @property
     def rank(self) -> int:
@@ -63,6 +78,31 @@ def rank(vectors: Sequence[dict], p: int) -> int:
     return basis.rank
 
 
+def _equations(columns: Sequence[dict], extra_keys=()) -> dict:
+    """Equation key -> {column index: coefficient}, in the solver's row order."""
+    by_key: dict = {}
+    for j, col in enumerate(columns):
+        for key, v in col.items():
+            by_key.setdefault(key, {})[j] = v
+    for key in extra_keys:
+        by_key.setdefault(key, {})
+    return {key: by_key[key] for key in sorted(by_key, key=repr)}
+
+
+def _back_substitute(rows: dict, x: list, p: int) -> list:
+    """Set the pivot coordinates of x (free coordinates already set) so that
+    each row's column part dotted with x equals its right-hand side."""
+    n = len(x)
+    for pivot in sorted(rows, reverse=True):
+        row = rows[pivot]
+        acc = row.get(n, 0)
+        for j, c in row.items():
+            if j < n:
+                acc -= c * x[j]  # x[pivot] is still 0 here
+        x[pivot] = acc % p
+    return x
+
+
 def solve(columns: Sequence[dict], rhs: dict, p: int):
     """Solve sum_j c_j * columns[j] = rhs exactly over GF(p).
 
@@ -70,49 +110,18 @@ def solve(columns: Sequence[dict], rhs: dict, p: int):
     or (None, witness) when infeasible; the witness maps row keys of the
     original equations to multipliers exhibiting 0 = nonzero.
     """
-    # Augmented echelon with provenance: each working row is the triple
-    # (coeffs over column indices, rhs value, multiplier over equation keys).
-    by_key: dict = {}
-    for j, col in enumerate(columns):
-        for key, v in col.items():
-            by_key.setdefault(key, {})[j] = v
-    for key in rhs:
-        by_key.setdefault(key, {})
-    work: list[tuple[dict, int, dict]] = []
-    for key in sorted(by_key, key=repr):
-        work.append((by_key[key], rhs.get(key, 0) % p, {key: 1}))
-
-    echelon: dict[int, tuple[dict, int, dict]] = {}  # pivot column -> row
-    for coeffs, val, prov in work:
-        coeffs = dict(coeffs)
-        prov = dict(prov)
-        inserted = False
-        while coeffs:
-            pivot = min(coeffs)
-            existing = echelon.get(pivot)
-            if existing is None:
-                inv = pow(coeffs[pivot], -1, p)
-                coeffs = {k: (v * inv) % p for k, v in coeffs.items()}
-                val = (val * inv) % p
-                prov = {k: (v * inv) % p for k, v in prov.items()}
-                echelon[pivot] = (coeffs, val, prov)
-                inserted = True
-                break
-            factor = -coeffs[pivot] % p
-            _axpy(coeffs, existing[0], factor, p)
-            val = (val + factor * existing[1]) % p
-            _axpy(prov, existing[2], factor, p)
-        if not inserted and val:
-            return None, prov
-    solution = [0] * len(columns)
-    for pivot in sorted(echelon, reverse=True):
-        coeffs, val, _ = echelon[pivot]
-        acc = val
-        for j, c in coeffs.items():
-            if j != pivot:
-                acc = (acc - c * solution[j]) % p
-        solution[pivot] = acc % p
-    return solution, None
+    n = len(columns)
+    equations = _equations(columns, rhs)
+    keys = list(equations)
+    rows: dict[int, dict] = {}
+    for i, (key, row) in enumerate(equations.items()):
+        val = rhs.get(key, 0) % p
+        if val:
+            row[n] = val
+        row[n + 1 + i] = 1
+        if _eliminate(rows, row, p, tail=n) == n:  # reduced to 0 = nonzero
+            return None, {keys[k - n - 1]: v for k, v in row.items() if k > n}
+    return _back_substitute(rows, [0] * n, p), None
 
 
 def in_span(columns: Sequence[dict], rhs: dict, p: int) -> bool:
@@ -122,35 +131,14 @@ def in_span(columns: Sequence[dict], rhs: dict, p: int) -> bool:
 
 def nullspace(columns: Sequence[dict], p: int) -> list[list[int]]:
     """Basis of {c : sum_j c_j * columns[j] = 0}, free variables one-hot."""
-    by_key: dict = {}
-    for j, col in enumerate(columns):
-        for key, v in col.items():
-            by_key.setdefault(key, {})[j] = v
-    echelon: dict[int, dict] = {}
-    for key in sorted(by_key, key=repr):
-        coeffs = by_key[key]
-        while coeffs:
-            pivot = min(coeffs)
-            existing = echelon.get(pivot)
-            if existing is None:
-                inv = pow(coeffs[pivot], -1, p)
-                echelon[pivot] = {k: (v * inv) % p for k, v in coeffs.items()}
-                break
-            _axpy(coeffs, existing, -coeffs[pivot] % p, p)
+    n = len(columns)
+    rows: dict[int, dict] = {}
+    for coeffs in _equations(columns).values():
+        _eliminate(rows, coeffs, p)
     basis = []
-    pivots = set(echelon)
-    for free in range(len(columns)):
-        if free in pivots:
-            continue
-        vec = [0] * len(columns)
-        vec[free] = 1
-        # back-substitute pivot coordinates against the free column
-        for pivot in sorted(echelon, reverse=True):
-            row = echelon[pivot]
-            acc = 0
-            for j, c in row.items():
-                if j != pivot:
-                    acc = (acc + c * vec[j]) % p
-            vec[pivot] = (-acc) % p
-        basis.append(vec)
+    for free in range(n):
+        if free not in rows:
+            x = [0] * n
+            x[free] = 1
+            basis.append(_back_substitute(rows, x, p))
     return basis

@@ -23,7 +23,6 @@ FLAG_ASSUMED_DOMAIN = "assumed-domain"
 FLAG_SOCLE_CRITERION = "socle-criterion-verdict"
 FLAG_BOUND_ESCALATED = "membership-bound-escalated"
 
-DEFAULT_SLACK = None  # per-cover default: slack = p
 _MAX_ESCALATIONS = 3
 
 
@@ -277,17 +276,13 @@ class MembershipResult:
     escalations: int
 
 
-def _candidate_bound(cover: DoubleCover, slack: int | None) -> int:
+def _candidate_bound(cover: DoubleCover) -> int:
     p = cover.p
-    if slack is None:
-        slack = p
     growth = Fraction(p - 1, 2) * cover.g.total_degree()
-    return max(1, ceil((Fraction(p * p) + growth + slack) / p))
+    return max(1, ceil((Fraction(p * p) + growth + p) / p))
 
 
-def frobenius_image_membership(
-    eta: H2Class, cover: DoubleCover, slack: int | None = None
-) -> MembershipResult:
+def frobenius_image_membership(eta: H2Class, cover: DoubleCover) -> MembershipResult:
     """Decide eta in span_{F_p}{ F(z^eps/(x^i y^j)) } by exact linear algebra.
 
     Candidate sources are bounded by i, j <= B; a term of F(z^eps/(x^i y^j))
@@ -298,7 +293,7 @@ def frobenius_image_membership(
     monotone in B, so two consecutive infeasible bounds settle the answer.
     """
     p = cover.p
-    bound = _candidate_bound(cover, slack)
+    bound = _candidate_bound(cover)
     previous_infeasible = False
     escalations = 0
     while True:
@@ -325,10 +320,10 @@ def frobenius_image_membership(
         bound *= 2
 
 
-def in_frobenius_image(eta: H2Class, cover: DoubleCover, slack: int | None = None) -> bool:
+def in_frobenius_image(eta: H2Class, cover: DoubleCover) -> bool:
     if eta.is_zero():
         return True
-    return frobenius_image_membership(eta, cover, slack).feasible
+    return frobenius_image_membership(eta, cover).feasible
 
 
 def _pure_power_in_ideal(target: Poly, gens: list[Poly], degree_cap: int) -> bool:
@@ -379,9 +374,7 @@ class LocalCohAnalysis:
     flags: tuple[str, ...] = field(default_factory=tuple)
 
 
-def analyze(
-    cover: DoubleCover, slack: int | None = None, splitting: str = "x-first"
-) -> LocalCohAnalysis:
+def analyze(cover: DoubleCover, splitting: str = "x-first") -> LocalCohAnalysis:
     """Full 2-quasi-F-split analysis of a double cover.
 
     A surviving socle certifies F-splitness (height 1).  Otherwise the
@@ -398,7 +391,7 @@ def analyze(
         )
         return LocalCohAnalysis(verdict, socle_image, None, None, tuple(flags))
     carry = witt_carry_class(cover, splitting=splitting)
-    membership = frobenius_image_membership(carry, cover, slack=slack)
+    membership = frobenius_image_membership(carry, cover)
     if membership.feasible and membership.escalations:
         # the initial candidate bound was under-inclusive
         flags.append(FLAG_BOUND_ESCALATED)
@@ -412,6 +405,6 @@ def analyze(
     return LocalCohAnalysis(verdict, socle_image, carry, membership, tuple(flags))
 
 
-def quasi2_doublecover(cover: DoubleCover, slack: int | None = None) -> Verdict:
+def quasi2_doublecover(cover: DoubleCover) -> Verdict:
     """2-quasi-F-split decision for k[[x,y,z]]/(z^2 + g)."""
-    return analyze(cover, slack=slack).verdict
+    return analyze(cover).verdict

@@ -17,7 +17,7 @@ from typing import Any
 from . import __version__
 from .criteria import Verdict, ZeroInputError, height_search
 from .localcoh import DoubleCover, LocalCohAnalysis, analyze
-from .ring import PolyRing
+from .ring import Poly, PolyRing
 
 SCHEMA_VERSION = 1
 
@@ -176,18 +176,20 @@ def run_entry(
     entry: CatalogEntry,
     explain: bool = False,
     max_n: int = 2,
-    slack: int | None = None,
+    parsed: Poly | DoubleCover | None = None,
 ) -> Report:
+    """Analyze one entry; ``parsed`` is entry.poly already parsed by the
+    caller (a Poly for a hypersurface, a DoubleCover for a double cover)."""
     start = time.perf_counter()
     try:
         if entry.kind == KIND_HYPERSURFACE:
-            f = parse_hypersurface(entry.p, entry.poly)
+            f = parsed if parsed is not None else parse_hypersurface(entry.p, entry.poly)
             verdict = height_search(f, max_n=max_n)
             intermediates = _witness_intermediates(verdict) if explain else None
             flags = verdict.flags
         else:
-            cover = parse_doublecover(entry.p, entry.poly)
-            analysis = analyze(cover, slack=slack)
+            cover = parsed if parsed is not None else parse_doublecover(entry.p, entry.poly)
+            analysis = analyze(cover)
             verdict = analysis.verdict
             intermediates = _membership_intermediates(analysis) if explain else None
             flags = analysis.flags

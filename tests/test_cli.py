@@ -80,6 +80,40 @@ class TestCheck:
         assert code == 0
         assert "undecided" in out
 
+    def test_declared_vars_set_the_ring(self, capsys):
+        # x^2 + y^2 is Calabi-Yau in 2 variables but not in 3
+        code, out, _ = run_cli(
+            capsys, "check", "--p", "5", "--vars", "x,y,z", "--json", "x^2+y^2"
+        )
+        assert code == 0
+        assert json.loads(out)["flags"] == ["non-homogeneous-criterion"]
+
+    def test_entry_error_exit_two(self, capsys, monkeypatch):
+        def fail(f, max_n=2):
+            raise RuntimeError("analysis failed")
+
+        monkeypatch.setattr("qfsplit.report.height_search", fail)
+        code, _, err = run_cli(capsys, "check", "--p", "7", "x^3+y^3+z^3")
+        assert code == 2
+        assert "analysis failed" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("batch", BUNDLED, "--jobs", "4"),
+        ("batch", BUNDLED, "--slack", "3"),
+        ("batch", BUNDLED, "--config", "qfsplit.conf"),
+        ("check", "--p", "3", "--slack", "3", "x^3 + y^4"),
+        ("check", "--p", "3", "--config", "qfsplit.conf", "x^3 + y^4"),
+    ],
+    ids=["batch-jobs", "batch-slack", "batch-config", "check-slack", "check-config"],
+)
+def test_removed_settings_exit_two(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+
 
 class TestWittCommands:
     def test_delta(self, capsys):
@@ -130,11 +164,11 @@ class TestBatch:
         }
         assert fermat_split == {5: False, 7: True, 11: False, 13: True}
 
-    def test_deterministic_across_runs_and_jobs(self, capsys, tmp_path):
+    def test_deterministic_across_runs(self, capsys, tmp_path):
         first = tmp_path / "a.jsonl"
         second = tmp_path / "b.jsonl"
         run_cli(capsys, "batch", BUNDLED, "-o", str(first))
-        run_cli(capsys, "batch", BUNDLED, "-o", str(second), "--jobs", "4")
+        run_cli(capsys, "batch", BUNDLED, "-o", str(second))
         assert first.read_bytes() == second.read_bytes()
 
     def test_empty_catalog(self, capsys, tmp_path):

@@ -1,0 +1,70 @@
+"""Property tests for the GF(p) routines on small sparse systems."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from qfsplit.linalg import GaussianBasis, in_span, nullspace, rank, solve  # noqa: E402
+
+KEYS = [f"r{i}" for i in range(5)]
+
+
+@st.composite
+def systems(draw):
+    """(p, columns, rhs) with at most 6 columns over at most 5 equations."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    vector = st.dictionaries(st.sampled_from(KEYS), st.integers(1, p - 1), max_size=4)
+    return p, draw(st.lists(vector, max_size=6)), draw(vector)
+
+
+def combine(columns, coeffs, p):
+    """sum_j coeffs[j] * columns[j], zeros dropped."""
+    out: dict = {}
+    for c, column in zip(coeffs, columns):
+        for key, v in column.items():
+            out[key] = (out.get(key, 0) + c * v) % p
+    return {key: v for key, v in out.items() if v}
+
+
+def dot(witness, vector, p):
+    return sum(witness.get(key, 0) * v for key, v in vector.items()) % p
+
+
+@settings(deadline=None)
+@given(systems())
+def test_solve_returns_solution_or_witness(system):
+    p, columns, rhs = system
+    coeffs, witness = solve(columns, rhs, p)
+    if coeffs is not None:
+        assert witness is None
+        assert len(coeffs) == len(columns)
+        assert combine(columns, coeffs, p) == rhs
+    else:
+        # the witness combines the equations into 0 = nonzero
+        assert all(dot(witness, column, p) == 0 for column in columns)
+        assert dot(witness, rhs, p) != 0
+
+
+@settings(deadline=None)
+@given(systems())
+def test_nullspace_is_a_kernel_basis(system):
+    p, columns, _ = system
+    kernel = nullspace(columns, p)
+    assert len(kernel) == len(columns) - rank(columns, p)
+    for vec in kernel:
+        assert combine(columns, vec, p) == {}
+    as_dicts = [{j: c for j, c in enumerate(vec) if c} for vec in kernel]
+    assert rank(as_dicts, p) == len(kernel)
+
+
+@settings(deadline=None)
+@given(systems())
+def test_basis_contains_agrees_with_in_span(system):
+    p, columns, rhs = system
+    basis = GaussianBasis(p)
+    for column in columns:
+        basis.add(column)
+    assert basis.contains(rhs) == in_span(columns, rhs, p)
