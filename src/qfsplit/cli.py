@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from . import __version__
 from .config import ConfigError, resolve_config
@@ -129,7 +130,17 @@ def _cmd_check(args) -> int:
     return 0
 
 
+def _timing_summary(reports, wall_ms: float) -> str:
+    """Summary suffix under --timings: batch wall time and the 3 slowest entries."""
+    text = f"; wall {wall_ms:.3f} ms"
+    slowest = sorted(reports, key=lambda r: -r.timing_ms)[:3]
+    if slowest:
+        text += "; slowest: " + ", ".join(f"{r.entry.name} {r.timing_ms} ms" for r in slowest)
+    return text
+
+
 def _cmd_batch(args) -> int:
+    start = time.perf_counter()
     reports = [run_entry(entry, explain=args.explain) for entry in load_catalog(args.catalog)]
     lines = [r.to_json(include_timing=args.timings) for r in reports]
     if args.output:
@@ -139,7 +150,10 @@ def _cmd_batch(args) -> int:
     else:
         for line in lines:
             print(line)
-    print(summarize(reports), file=sys.stderr if not args.output else sys.stdout)
+    summary = summarize(reports)
+    if args.timings:
+        summary += _timing_summary(reports, (time.perf_counter() - start) * 1000.0)
+    print(summary, file=sys.stderr if not args.output else sys.stdout)
     return 0
 
 

@@ -41,7 +41,7 @@ class DoubleCover:
     domain and reports carry the corresponding flag.
     """
 
-    __slots__ = ("p", "g", "ring_xy", "ring_xyz", "neg_g")
+    __slots__ = ("p", "g", "ring_xy", "ring_xyz", "neg_g", "_frobenius_numerator")
 
     def __init__(self, p: int, g: Poly):
         ring_xy = PolyRing(p, ("x", "y"))
@@ -57,6 +57,7 @@ class DoubleCover:
         self.ring_xy = ring_xy
         self.ring_xyz = PolyRing(p, ("x", "y", "z"))
         self.neg_g = -self._embed_xy(g)
+        self._frobenius_numerator = None
 
     def _embed_xy(self, f: Poly) -> Poly:
         return self.ring_xyz.from_terms(
@@ -67,6 +68,15 @@ class DoubleCover:
         """z^2 + g as an element of GF(p)[x, y, z]."""
         z = self.ring_xyz.gen("z")
         return z * z + self._embed_xy(self.g)
+
+    def frobenius_numerator(self) -> Poly:
+        """N = z^p reduced to z-degree <= 1, computed on first use and kept
+        for the life of the cover: every Frobenius image on H^2 with a z in
+        its numerator is a shift of N."""
+        if self._frobenius_numerator is None:
+            z_p = self.ring_xyz.gen("z") ** self.p
+            self._frobenius_numerator = reduce_modulo_cover(z_p, self)
+        return self._frobenius_numerator
 
     def __repr__(self) -> str:
         return f"DoubleCover(p={self.p}, g={self.g.render()})"
@@ -197,17 +207,35 @@ def socle(cover: DoubleCover) -> H2Class:
     return H2Class(cover.p, {(1, 1, 1): 1})
 
 
+def _frobenius_label_image(label: tuple[int, int, int], cover: DoubleCover) -> dict:
+    """Terms of F(z^eps/(x^i y^j)) = {z^(p eps)/(x^(pi) y^(pj))} in normal form.
+
+    eps = 0 gives the single term 1/(x^(pi) y^(pj)); eps = 1 keeps the terms
+    c x^u y^v z^w of the cached numerator N = nf(z^p) with u < pi and v < pj,
+    as c z^w/(x^(pi-u) y^(pj-v)).
+    """
+    eps, i, j = label
+    a, b = cover.p * i, cover.p * j
+    if not eps:
+        return {(0, a, b): 1}
+    return {
+        (w, a - u, b - v): c
+        for (u, v, w), c in cover.frobenius_numerator().term_map().items()
+        if u < a and v < b
+    }
+
+
 def frobenius_h2(xi: H2Class, cover: DoubleCover) -> H2Class:
     """Frobenius on H^2: p-th power basis terms and renormalize; F_p-linear
-    because coefficients satisfy c^p = c."""
+    because coefficients satisfy c^p = c.  Each basis term's image is a shift
+    of the cover's cached numerator nf(z^p), so z^p is reduced once per
+    cover, not once per term."""
     p = cover.p
-    z = cover.ring_xyz.gen("z")
-    result = H2Class.zero(p)
-    for (eps, i, j), c in xi.terms():
-        numerator = z ** (p * eps) if eps else cover.ring_xyz.one()
-        contrib = normal_form(numerator, (p * i, p * j), cover)
-        result = result + contrib.scale(c)
-    return result
+    out: dict[tuple[int, int, int], int] = {}
+    for label, c in xi.terms():
+        for key, v in _frobenius_label_image(label, cover).items():
+            out[key] = (out.get(key, 0) + c * v) % p
+    return H2Class(p, out)
 
 
 def ring_multiply(m: Poly, xi: H2Class, cover: DoubleCover) -> H2Class:
@@ -233,7 +261,7 @@ def witt_carry_class(cover: DoubleCover, splitting: str = "x-first") -> H2Class:
     if not frobenius_h2(socle(cover), cover).is_zero():
         raise SocleSurvivesError("F(socle) != 0; the cover is F-split at the socle")
     ring = cover.ring_xyz
-    n_poly = reduce_modulo_cover(ring.gen("z") ** p, cover)
+    n_poly = cover.frobenius_numerator()
     a_terms: dict[tuple[int, ...], int] = {}
     b_terms: dict[tuple[int, ...], int] = {}
     for exps in sorted(n_poly.term_map(), key=lambda e: (sum(e), e)):
@@ -289,8 +317,14 @@ def frobenius_image_membership(eta: H2Class, cover: DoubleCover) -> MembershipRe
     has denominator x-exponent at least p*i minus the z-reduction growth, so
     sources beyond B cannot meet eta's support.  Over-inclusion is harmless
     (the solve demands zero residual everywhere); a too-small bound shows up
-    as an infeasible system and is retried with B doubled.  Feasibility is
-    monotone in B, so two consecutive infeasible bounds settle the answer.
+    as an infeasible system and is retried with B doubled.
+
+    Feasibility is monotone in B (a larger bound only adds columns), so a
+    feasible answer is final.  An infeasible one is not a proof: stopping
+    once the doubled bound is infeasible too is a stopping rule, not a
+    certificate that no larger B succeeds.  The exact graded system that
+    removes the guess is ROADMAP item 3.  Columns come from
+    _frobenius_label_image, the routine behind frobenius_h2.
     """
     p = cover.p
     bound = _candidate_bound(cover)
@@ -303,10 +337,7 @@ def frobenius_image_membership(eta: H2Class, cover: DoubleCover) -> MembershipRe
             for i in range(1, bound + 1)
             for j in range(1, bound + 1)
         ]
-        columns = []
-        for eps, i, j in labels:
-            image = frobenius_h2(H2Class(p, {(eps, i, j): 1}), cover)
-            columns.append(image.term_map())
+        columns = [_frobenius_label_image(label, cover) for label in labels]
         solution, witness = linalg.solve(columns, eta.term_map(), p)
         if solution is not None:
             coeffs = {
@@ -326,39 +357,33 @@ def in_frobenius_image(eta: H2Class, cover: DoubleCover) -> bool:
     return frobenius_image_membership(eta, cover).feasible
 
 
-def _pure_power_in_ideal(target: Poly, gens: list[Poly], degree_cap: int) -> bool:
-    """Bounded-degree ideal membership target = sum A_i * gen_i via linear algebra."""
-    ring = target.ring
-    columns = []
-    for gen in gens:
-        if gen.is_zero():
-            continue
-        for u in range(degree_cap + 1):
-            for v in range(degree_cap + 1 - u):
-                columns.append((ring.monomial({"x": u, "y": v}) * gen).term_map())
-    if not columns:
-        return False
-    coeffs, _ = linalg.solve(columns, target.term_map(), ring.char)
-    return coeffs is not None
-
-
 def has_isolated_singularity(cover: DoubleCover) -> bool:
     """Heuristic Jacobian check: the singular locus of z^2 + g is finite iff
-    some pure powers x^N, y^N lie in (g_x, g_y) (+ (g) when p is odd)."""
+    some pure powers x^N, y^N lie in (g_x, g_y) (+ (g) when p is odd).
+
+    For N = 1, 2, ... up to (d-1)^2 + d, the span of the multiples
+    x^u y^v * gen with u + v <= N + d is tested for x^N and y^N.  One
+    elimination basis grows with N: step 1 adds every multiple up to degree
+    1 + d, each later step only those of degree N + d.
+    """
     g = cover.g
     gens = [g.derivative("x"), g.derivative("y")]
     if cover.p != 2:
         gens.append(g)
+    gens = [gen.term_map() for gen in gens if not gen.is_zero()]
     d = max(2, g.total_degree())
     cap = (d - 1) * (d - 1) + d
-    ring = cover.ring_xy
+    basis = linalg.GaussianBasis(cover.p)
+    found_x = found_y = False
     for n in range(1, cap + 1):
-        if _pure_power_in_ideal(ring.monomial({"x": n}), gens, n + d):
-            break
-    else:
-        return False
-    for n in range(1, cap + 1):
-        if _pure_power_in_ideal(ring.monomial({"y": n}), gens, n + d):
+        for degree in range(0 if n == 1 else n + d, n + d + 1):
+            for u in range(degree + 1):
+                v = degree - u
+                for terms in gens:
+                    basis.add({(a + u, b + v): c for (a, b), c in terms.items()})
+        found_x = found_x or basis.contains({(n, 0): 1})
+        found_y = found_y or basis.contains({(0, n): 1})
+        if found_x and found_y:
             return True
     return False
 

@@ -240,3 +240,21 @@ def test_criterion_10_cli_determinism_and_golden(tmp_path):
     )
     assert e6_line["verdict"] == {"f_split": False, "quasi2": True, "height_le": 2}
     print("\nACCEPTANCE 10 PASS: byte-identical batch runs matching the golden file")
+
+
+def test_criterion_10_explain_certificates_golden(tmp_path):
+    # pins socle_image, carry and the membership certificate (bound,
+    # escalations, coefficients, witness_row) of every catalog entry
+    out = tmp_path / "explain.jsonl"
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "qfsplit.cli", "batch", "--explain",
+            "src/qfsplit/data/catalog.jsonl", "-o", str(out),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    with open("tests/golden/bundled_catalog_explain.jsonl", "rb") as handle:
+        assert out.read_bytes() == handle.read()
+    print("\nACCEPTANCE 10 PASS: --explain certificates match the golden file")

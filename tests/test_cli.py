@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -170,6 +171,26 @@ class TestBatch:
         run_cli(capsys, "batch", BUNDLED, "-o", str(first))
         run_cli(capsys, "batch", BUNDLED, "-o", str(second))
         assert first.read_bytes() == second.read_bytes()
+
+    def test_default_output_has_no_timings(self, capsys):
+        code, out, err = run_cli(capsys, "batch", BUNDLED)
+        assert code == 0
+        with open("tests/golden/bundled_catalog.jsonl", encoding="utf-8") as handle:
+            assert out == handle.read()
+        assert err == "10 entries: 5 F-split, 4 height 2, 1 not 2-quasi-F-split\n"
+
+    def test_timings_summary_names_wall_time_and_slowest(self, capsys, tmp_path):
+        out_path = tmp_path / "reports.jsonl"
+        code, out, err = run_cli(capsys, "batch", "--timings", BUNDLED, "-o", str(out_path))
+        assert code == 0 and err == ""
+        counts, wall, slowest = out.rstrip("\n").split("; ")
+        assert counts == "10 entries: 5 F-split, 4 height 2, 1 not 2-quasi-F-split"
+        assert re.fullmatch(r"wall \d+\.\d{3} ms", wall)
+        reports = [json.loads(line) for line in out_path.read_text().splitlines()]
+        reports.sort(key=lambda r: -r["timing_ms"])
+        expected = ", ".join(f"{r['entry']['name']} {r['timing_ms']} ms" for r in reports[:3])
+        assert slowest == "slowest: " + expected
+        assert float(wall.split()[1]) >= sum(r["timing_ms"] for r in reports)
 
     def test_empty_catalog(self, capsys, tmp_path):
         catalog = tmp_path / "empty.jsonl"

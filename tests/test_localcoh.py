@@ -99,6 +99,29 @@ class TestFrobenius:
             assert frobenius_h2(a.scale(c), e6_p3) == frobenius_h2(a, e6_p3).scale(c)
 
 
+COVERS = [(3, "x^3 + y^4"), (2, "x*y"), (7, "x^4 + y^4"), (5, "x^3 + y^6 + x^2*y^3")]
+
+
+@pytest.mark.parametrize("p,g", COVERS)
+def test_cached_frobenius_images_match_definition(p, g):
+    # F(z^eps/(x^i y^j)) = {z^(p eps)/(x^(pi) y^(pj))}, normalized from scratch
+    cover = DoubleCover(p, PolyRing(p, ("x", "y")).parse(g))
+    z = cover.ring_xyz.gen("z")
+    for eps in (0, 1):
+        for i in range(1, 7):
+            for j in range(1, 7):
+                image = frobenius_h2(h2(p, ((eps, i, j), 1)), cover)
+                assert image == normal_form(z ** (p * eps), (p * i, p * j), cover)
+
+
+@pytest.mark.parametrize("p,g", COVERS)
+def test_frobenius_numerator_is_reduced_z_p_computed_once(p, g):
+    cover = DoubleCover(p, PolyRing(p, ("x", "y")).parse(g))
+    numerator = cover.frobenius_numerator()
+    assert numerator == reduce_modulo_cover(cover.ring_xyz.gen("z") ** p, cover)
+    assert cover.frobenius_numerator() is numerator
+
+
 class TestSocle:
     def test_value(self, e6_p3):
         assert socle(e6_p3) == h2(3, ((1, 1, 1), 1))
