@@ -2,9 +2,8 @@
 
 Exit codes: 0 = analyzed, 2 = input error; `witt identity` exits 1 when the
 verification fails (which would indicate an arithmetic bug, not bad input).
-`batch` writes one report per catalog line, in input order.  Only `witt`
-reads a config file (`--config` or QFSPLIT_CONFIG; its one key is
-`witt_length_cap`).
+`batch` writes one report per catalog line, in input order.  `witt add` and
+`witt mul` accept operands of length at most 8 (witt.DEFAULT_LENGTH_CAP).
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import sys
 import time
 
 from . import __version__
-from .config import ConfigError, resolve_config
 from .criteria import ZeroInputError
 from .localcoh import SocleSurvivesError
 from .report import (
@@ -68,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     witt.add_argument("--p", type=int, required=True)
     witt.add_argument("--n", type=int, help="Witt length (default 2)")
-    witt.add_argument("--config", help="config file path")
     witt.add_argument("operands", nargs="+", help="polynomials, [f] lifts, or (a0; a1) vectors")
     return parser
 
@@ -85,14 +82,14 @@ def _ring_for(p: int, texts: list[str]) -> PolyRing:
     return PolyRing(p, names)
 
 
-def _parse_witt_operand(text: str, ring: PolyRing, n: int, cap: int) -> WittVector:
+def _parse_witt_operand(text: str, ring: PolyRing, n: int) -> WittVector:
     text = text.strip()
     if text.startswith("[") and text.endswith("]"):
         return WittVector.teichmuller(ring.parse(text[1:-1]), n)
     if text.startswith("(") and text.endswith(")"):
         parts = text[1:-1].split(";")
         comps = [ring.parse(part) for part in parts]
-        return WittVector(ring, comps, length_cap=cap)
+        return WittVector(ring, comps)
     raise InputError(f"Witt operand must be [poly] or (a0; a1; ...): {text!r}")
 
 
@@ -158,8 +155,6 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_witt(args) -> int:
-    config = resolve_config(args.config)
-    cap = config.witt_length_cap
     sub = args.subcommand
     operands = args.operands
 
@@ -178,8 +173,8 @@ def _cmd_witt(args) -> int:
                 elif n != count:
                     raise InputError(f"operand {text!r} has length {count}, expected {n}")
         n = n or 2
-        u = _parse_witt_operand(operands[0], ring, n, cap)
-        v = _parse_witt_operand(operands[1], ring, n, cap)
+        u = _parse_witt_operand(operands[0], ring, n)
+        v = _parse_witt_operand(operands[1], ring, n)
         result = u + v if sub == "add" else u * v
         print(result.render())
         return 0
@@ -219,7 +214,6 @@ def main(argv: list[str] | None = None) -> int:
     except (
         InputError,
         CatalogError,
-        ConfigError,
         PolyParseError,
         ExponentOverflowError,
         ZeroInputError,

@@ -54,10 +54,19 @@ class GaussianBasis:
         self.rows: dict[Hashable, dict] = {}  # pivot key -> normalized row
 
     def reduce(self, vec: dict) -> dict:
-        """Remainder of vec modulo the current row space."""
+        """Remainder of vec modulo the current row space: the unique vector
+        congruent to vec with no pivot key in its support.
+
+        Each leading key that is not a pivot moves to the remainder; the
+        rows' other keys all exceed their pivots, so it never comes back.
+        """
         vec = dict(vec)
-        _eliminate(self.rows, vec, self.p, insert=False)
-        return vec
+        remainder = {}
+        while True:
+            lead = _eliminate(self.rows, vec, self.p, insert=False)
+            if lead is None:
+                return remainder
+            remainder[lead] = vec.pop(lead)
 
     def add(self, vec: dict) -> bool:
         """Insert vec; returns True if it enlarged the span."""
@@ -68,7 +77,7 @@ class GaussianBasis:
         return len(self.rows)
 
     def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
+        return _eliminate(self.rows, dict(vec), self.p, insert=False) is None
 
 
 def rank(vectors: Sequence[dict], p: int) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
 
-from . import linalg
+from . import linalg, witt
 from .criteria import Verdict
 from .ring import Poly, PolyRing
 
@@ -23,15 +23,9 @@ FLAG_ASSUMED_DOMAIN = "assumed-domain"
 FLAG_SOCLE_CRITERION = "socle-criterion-verdict"
 FLAG_BOUND_ESCALATED = "membership-bound-escalated"
 
-_MAX_ESCALATIONS = 3
-
 
 class SocleSurvivesError(ValueError):
     """F(socle) != 0: the cover is F-split and no Witt carry is defined."""
-
-
-class SplitNotFoundError(RuntimeError):
-    """Internal inconsistency: vanishing numerator admits no x^p/y^p split."""
 
 
 class DoubleCover:
@@ -251,45 +245,22 @@ def ring_multiply(m: Poly, xi: H2Class, cover: DoubleCover) -> H2Class:
 def witt_carry_class(cover: DoubleCover, splitting: str = "x-first") -> H2Class:
     """The class eta with {[z]^p/[xy]^p} = V(eta) in W_2 local cohomology.
 
-    Requires F(socle) = 0.  The reduced numerator N of z^p then lies in
-    (x^p, y^p) monomial-wise; after a greedy split N = x^p A + y^p B the
-    carry is the Witt addition defect of the two summands,
-    (1/p)((X+Y)^p - X^p - Y^p) over integer lifts, placed over
-    (x^{p^2}, y^{p^2}).
+    Requires F(socle) = 0, so every term of the reduced numerator N of z^p
+    has u >= p or v >= p.  Split N = P + (N - P), where P holds the terms
+    with u >= p ("x-first") or v >= p ("y-first").  The carry is the Witt
+    addition defect of the two summands over their integer lifts, placed
+    over (x^{p^2}, y^{p^2}).  P and N - P have disjoint supports, so the
+    defect is delta(N) - delta(P) - delta(N - P); every term of delta(P)
+    has u >= p^2 and every term of delta(N - P) has v >= p^2, so both die
+    in the normal form.  The class is therefore nf(delta(N)), the same for
+    either splitting.
     """
     p = cover.p
     if not frobenius_h2(socle(cover), cover).is_zero():
         raise SocleSurvivesError("F(socle) != 0; the cover is F-split at the socle")
-    ring = cover.ring_xyz
-    n_poly = cover.frobenius_numerator()
-    a_terms: dict[tuple[int, ...], int] = {}
-    b_terms: dict[tuple[int, ...], int] = {}
-    for exps in sorted(n_poly.term_map(), key=lambda e: (sum(e), e)):
-        c = n_poly.coefficient(exps)
-        u, v, w = exps
-        to_a = None
-        if splitting == "x-first":
-            to_a = True if u >= p else (False if v >= p else None)
-        elif splitting == "y-first":
-            to_a = False if v >= p else (True if u >= p else None)
-        else:
-            raise ValueError(f"unknown splitting strategy {splitting!r}")
-        if to_a is None:
-            raise SplitNotFoundError(
-                f"monomial x^{u} y^{v} z^{w} divisible by neither x^{p} nor y^{p}"
-            )
-        if to_a:
-            a_terms[(u - p, v, w)] = c
-        else:
-            b_terms[(u, v - p, w)] = c
-    a_poly = ring.from_terms(a_terms)
-    b_poly = ring.from_terms(b_terms)
-    lift_ring = ring.lift_ring()
-    x_l, y_l = lift_ring.gen("x"), lift_ring.gen("y")
-    x_part = x_l**p * a_poly.lift_integers(lift_ring)
-    y_part = y_l**p * b_poly.lift_integers(lift_ring)
-    carry_lift = ((x_part + y_part) ** p - x_part**p - y_part**p).divide_exact(p)
-    carry = carry_lift.reduce_mod(ring)
+    if splitting not in ("x-first", "y-first"):
+        raise ValueError(f"unknown splitting strategy {splitting!r}")
+    carry = witt.delta_carry(cover.frobenius_numerator())
     return normal_form(carry, (p * p, p * p), cover)
 
 
@@ -327,10 +298,8 @@ def frobenius_image_membership(eta: H2Class, cover: DoubleCover) -> MembershipRe
     _frobenius_label_image, the routine behind frobenius_h2.
     """
     p = cover.p
-    bound = _candidate_bound(cover)
-    previous_infeasible = False
-    escalations = 0
-    while True:
+    first = _candidate_bound(cover)
+    for escalations, bound in enumerate((first, 2 * first)):
         labels = [
             (eps, i, j)
             for eps in (0, 1)
@@ -344,11 +313,7 @@ def frobenius_image_membership(eta: H2Class, cover: DoubleCover) -> MembershipRe
                 labels[idx]: c for idx, c in enumerate(solution) if c
             }
             return MembershipResult(True, coeffs, None, bound, escalations)
-        if previous_infeasible or escalations >= _MAX_ESCALATIONS:
-            return MembershipResult(False, None, witness, bound, escalations)
-        previous_infeasible = True
-        escalations += 1
-        bound *= 2
+    return MembershipResult(False, None, witness, bound, escalations)
 
 
 def in_frobenius_image(eta: H2Class, cover: DoubleCover) -> bool:

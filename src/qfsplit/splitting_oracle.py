@@ -29,19 +29,16 @@ from .ring import Poly
 from .witt import delta_carry
 
 
-def _k2_reducer(cover: DoubleCover, max_x: int, max_y: int) -> GaussianBasis:
-    """Row space of {c^p : c in R} on monomial keys (u, v, z-exp) up to the box."""
+def _k2_reducer(cover: DoubleCover, monomials) -> GaussianBasis:
+    """Row space of the p-th powers nf(m^p), m = x^u y^v z^eps for each
+    (u, v, eps) in monomials, on monomial keys (u, v, z-exp)."""
     p = cover.p
     ring = cover.ring_xyz
-    z = ring.gen("z")
     basis = GaussianBasis(p)
-    zp_even = ring.one()
-    zp_odd = reduce_modulo_cover(z**p, cover)
-    for w, zpart in ((0, zp_even), (1, zp_odd)):
-        for a in range(max_x // p + 1):
-            for b in range(max_y // p + 1):
-                gen = ring.monomial({"x": p * a, "y": p * b}) * zpart
-                basis.add(gen.term_map())
+    zp = reduce_modulo_cover(ring.gen("z") ** p, cover)
+    for u, v, eps in monomials:
+        body = ring.monomial({"x": p * u, "y": p * v})
+        basis.add((body * zp if eps else body).term_map())
     return basis
 
 
@@ -50,7 +47,7 @@ def _slot1_vector(cover: DoubleCover, poly: Poly, k2: GaussianBasis) -> dict:
     return k2.reduce(reduced.term_map())
 
 
-def _socle_image_vanishes(cover: DoubleCover, shift: int, buffer: int) -> bool:
+def _socle_image_vanishes(cover: DoubleCover, shift: int) -> bool:
     """Is (xy)^shift * Phi(socle-numerator) in x^L Q + y^L Q for L = 1 + shift?"""
     p = cover.p
     ring = cover.ring_xyz
@@ -75,9 +72,18 @@ def _socle_image_vanishes(cover: DoubleCover, shift: int, buffer: int) -> bool:
     support = delta.term_map()
     max_x = max(k[0] for k in support)
     max_y = max(k[1] for k in support)
+    buffer = p * (1 + cover.g.total_degree())
     box_x = max_x + buffer
     box_y = max_y + buffer
-    k2 = _k2_reducer(cover, box_x + buffer, box_y + buffer)
+    k2 = _k2_reducer(
+        cover,
+        [
+            (a, b, w)
+            for w in (0, 1)
+            for a in range((box_x + buffer) // p + 1)
+            for b in range((box_y + buffer) // p + 1)
+        ],
+    )
     target = k2.reduce(support)
     if not target:
         return True
@@ -122,19 +128,19 @@ def _socle_image_vanishes(cover: DoubleCover, shift: int, buffer: int) -> bool:
     return coeffs is not None
 
 
-def quasi2_cech_oracle(cover: DoubleCover, buffer: int | None = None) -> bool:
+def quasi2_cech_oracle(cover: DoubleCover) -> bool:
     """2-quasi-F-split verdict by brute-force Cech vanishing in Q.
 
     The class is tested at the natural level and once more one step deeper;
     an exhibited membership is a definitive vanishing certificate, so the
-    cover is 2-quasi-F-split only if both levels refuse it.
+    cover is 2-quasi-F-split only if both levels refuse it.  At each level
+    the columns range over a box that reaches p * (1 + deg g) beyond the
+    support of the delta twist.
     """
     p = cover.p
-    if buffer is None:
-        buffer = p * (1 + cover.g.total_degree())
     base = p * p - p
     for extra in (0, p):
-        if _socle_image_vanishes(cover, base + extra, buffer):
+        if _socle_image_vanishes(cover, base + extra):
             return False
     return True
 
@@ -183,20 +189,7 @@ def _monomials_of_weight_at_most(cover, weights, cap):
     return out
 
 
-def _k2_reducer_weighted(cover: DoubleCover, weights, q_cap: int) -> GaussianBasis:
-    """K_2 rows from generators nf(m^p) with weighted degree <= q_cap."""
-    p = cover.p
-    ring = cover.ring_xyz
-    basis = GaussianBasis(p)
-    zp = reduce_modulo_cover(ring.gen("z") ** p, cover)
-    for u, v, eps in _monomials_of_weight_at_most(cover, weights, q_cap // p):
-        body = ring.monomial({"x": p * u, "y": p * v})
-        gen = body * zp if eps else body
-        basis.add(gen.term_map())
-    return basis
-
-
-def splitting_search(cover: DoubleCover, degree_cap: int | None = None) -> bool:
+def splitting_search(cover: DoubleCover) -> bool:
     """Feasibility of a graded splitting alpha: Q_{R,2} -> R on a window.
 
     Coordinates on Q are slot 0 (first Witt component, delta-twisted into
@@ -206,18 +199,18 @@ def splitting_search(cover: DoubleCover, degree_cap: int | None = None) -> bool:
     degrees divisible by p^2 and the module action preserves the lattice,
     so the unknowns are the values alpha(b) in R at degree deg(b)/p^2 for
     lattice basis elements b, subject to alpha(t.b) = t*alpha(b) for
-    t in {x, y, z} and alpha(class(1, 0)) = 1.  Infeasibility certifies
-    that no splitting exists; feasibility is the windowed converse,
-    validated against the other routes on the corpus.
+    t in {x, y, z} and alpha(class(1, 0)) = 1.  The window is weighted
+    R-degree <= 4 p^2.  Infeasibility certifies that no splitting exists;
+    feasibility is the windowed converse, validated against the other
+    routes on the corpus.
     """
     p = cover.p
     ring = cover.ring_xyz
     weights = quasi_homogeneous_weights(cover)
-    if degree_cap is None:
-        degree_cap = 4 * p * p  # weighted R-degree window
+    degree_cap = 4 * p * p  # weighted R-degree window
     q_cap = p * p * degree_cap
 
-    k2 = _k2_reducer_weighted(cover, weights, q_cap)
+    k2 = _k2_reducer(cover, _monomials_of_weight_at_most(cover, weights, q_cap // p))
 
     def q_degree(slot: str, exps) -> int:
         scale = p if slot == "0" else 1
@@ -296,10 +289,8 @@ def splitting_search(cover: DoubleCover, degree_cap: int | None = None) -> bool:
                         add_term((cid, exps), ((slot, b), r), -c)
                 cid += 1
 
-    one_key = (("0", (0, 0, 0)), (0, 0, 0))
-    if one_key not in columns:
-        raise NotQuasiHomogeneousError("window excludes the unit; enlarge degree_cap")
-    add_term(("phi", (0, 0, 0)), one_key, 1)
+    # the unit's unknown is always present: slot 0 and R both start at degree 0
+    add_term(("phi", (0, 0, 0)), (("0", (0, 0, 0)), (0, 0, 0)), 1)
     rhs = {("phi", (0, 0, 0)): 1}
 
     ordered = sorted(columns, key=repr)

@@ -19,7 +19,7 @@ DEFAULT_LENGTH_CAP = 8
 
 
 class WittLengthError(ValueError):
-    """Witt vector length outside the configured bound."""
+    """Witt vector length outside [1, length_cap] (DEFAULT_LENGTH_CAP = 8)."""
 
 
 class WittVector:
@@ -151,29 +151,15 @@ class WittVector:
         gu, gv = self.ghost(), other.ghost()
         return WittVector.from_ghost(self.ring, [a * b for a, b in zip(gu, gv)])
 
-    def __pow__(self, e: int) -> "WittVector":
-        if e < 0:
-            raise ValueError("negative exponent")
-        result = WittVector.one(self.ring, self.n)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
     # -- structural maps ----------------------------------------------------
 
     def frobenius(self) -> "WittVector":
         """F(a_0, ..., a_{n-1}) = (a_0^p, ..., a_{n-1}^p); a ring homomorphism."""
         return WittVector(self.ring, [a.frobenius_power() for a in self.components])
 
-    def verschiebung(self, length_cap: int = DEFAULT_LENGTH_CAP) -> "WittVector":
+    def verschiebung(self) -> "WittVector":
         """V: W_n -> W_{n+1}, (a_0, ..., a_{n-1}) -> (0, a_0, ..., a_{n-1})."""
-        return WittVector(
-            self.ring, (self.ring.zero(),) + self.components, length_cap=length_cap
-        )
+        return WittVector(self.ring, (self.ring.zero(),) + self.components)
 
     def restrict(self) -> "WittVector":
         """R: W_{n+1} -> W_n, drop the last coordinate."""

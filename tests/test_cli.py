@@ -107,8 +107,9 @@ class TestCheck:
         ("batch", BUNDLED, "--config", "qfsplit.conf"),
         ("check", "--p", "3", "--slack", "3", "x^3 + y^4"),
         ("check", "--p", "3", "--config", "qfsplit.conf", "x^3 + y^4"),
+        ("witt", "add", "--p", "2", "--config", "qfsplit.conf", "(x; 1)", "(y; 1)"),
     ],
-    ids=["batch-jobs", "batch-slack", "batch-config", "check-slack", "check-config"],
+    ids=["batch-jobs", "batch-slack", "batch-config", "check-slack", "check-config", "witt-config"],
 )
 def test_removed_settings_exit_two(argv):
     with pytest.raises(SystemExit) as exc:
@@ -145,6 +146,12 @@ class TestWittCommands:
     def test_length_mismatch_rejected(self, capsys):
         code, _, err = run_cli(capsys, "witt", "add", "--p", "2", "(x; 1)", "(y; 1; 0)")
         assert code == 2
+
+    def test_operand_longer_than_eight_rejected(self, capsys):
+        long = "(" + "; ".join(["x"] * 9) + ")"
+        code, _, err = run_cli(capsys, "witt", "add", "--p", "2", long, long)
+        assert code == 2
+        assert "length 9" in err
 
 
 class TestBatch:

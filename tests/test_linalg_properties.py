@@ -68,3 +68,20 @@ def test_basis_contains_agrees_with_in_span(system):
     for column in columns:
         basis.add(column)
     assert basis.contains(rhs) == in_span(columns, rhs, p)
+
+
+@settings(deadline=None)
+@given(systems(), st.data())
+def test_reduce_is_the_canonical_remainder(system, data):
+    p, columns, vec = system
+    basis = GaussianBasis(p)
+    for column in columns:
+        basis.add(column)
+    remainder = basis.reduce(vec)
+    assert not set(remainder) & set(basis.rows)
+    difference = combine([vec, remainder], [1, p - 1], p)
+    assert in_span(columns, difference, p)
+    shuffled = GaussianBasis(p)
+    for column in data.draw(st.permutations(columns)):
+        shuffled.add(column)
+    assert shuffled.reduce(vec) == remainder

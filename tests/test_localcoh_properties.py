@@ -1,15 +1,24 @@
-"""Property test: the incremental isolated-singularity check against a
-fresh solve for every degree."""
+"""Property tests: the incremental isolated-singularity check against a
+fresh solve for every degree, and the Witt carry class against the direct
+integer formula."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from qfsplit import linalg  # noqa: E402
-from qfsplit.localcoh import DoubleCover, has_isolated_singularity  # noqa: E402
+from qfsplit.localcoh import (  # noqa: E402
+    DoubleCover,
+    frobenius_h2,
+    has_isolated_singularity,
+    normal_form,
+    reduce_modulo_cover,
+    socle,
+    witt_carry_class,
+)
 from qfsplit.ring import PolyRing  # noqa: E402
 
 
@@ -73,3 +82,32 @@ def cover(p, g):
 @example(cover(3, "x^2"))  # neither found
 def test_incremental_isolated_check_matches_per_degree_solves(cover):
     assert has_isolated_singularity(cover) == reference_isolated(cover)
+
+
+def reference_carry(cover, splitting):
+    """(1/p)((X+Y)^p - X^p - Y^p) over the integer lifts of the split
+    N = X + Y of the reduced z^p numerator, over (x^{p^2}, y^{p^2})."""
+    p = cover.p
+    ring = cover.ring_xyz
+    numerator = reduce_modulo_cover(ring.gen("z") ** p, cover)
+    x_terms, y_terms = {}, {}
+    for (u, v, w), c in numerator.term_map().items():
+        to_x = u >= p if splitting == "x-first" else v < p
+        (x_terms if to_x else y_terms)[(u, v, w)] = c
+    lift = ring.lift_ring()
+    x_part = ring.from_terms(x_terms).lift_integers(lift)
+    y_part = ring.from_terms(y_terms).lift_integers(lift)
+    carry = ((x_part + y_part) ** p - x_part**p - y_part**p).divide_exact(p)
+    return normal_form(carry.reduce_mod(ring), (p * p, p * p), cover)
+
+
+@settings(deadline=None, max_examples=60)
+@given(covers())
+@example(cover(3, "x^3 + y^4"))  # E6
+@example(cover(5, "x^3 + y^5"))  # E8
+@example(cover(7, "x^4 + y^4"))
+@example(cover(2, "x^2*y + y^4"))
+def test_carry_class_matches_direct_formula(cover):
+    assume(frobenius_h2(socle(cover), cover).is_zero())
+    for splitting in ("x-first", "y-first"):
+        assert witt_carry_class(cover, splitting) == reference_carry(cover, splitting)

@@ -93,3 +93,12 @@ class TestPrimalSplittingSearch:
     def test_agrees_with_engine(self, name, p, text):
         cover = make_cover(p, text)
         assert splitting_search(cover) == analyze(cover).verdict.quasi2
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_oracle_on_e12_cover_is_negative(p):
+    # z^2 + x^3 + y^7 is not 2-quasi-F-split at p = 3, 5: the engine finds
+    # the carry in the Frobenius image, and the oracle must agree
+    cover = make_cover(p, "x^3 + y^7")
+    assert analyze(cover).verdict.quasi2 is False
+    assert quasi2_cech_oracle(cover) is False
