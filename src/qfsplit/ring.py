@@ -11,6 +11,8 @@ that rendering and serialization are deterministic.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from typing import Iterable, Iterator, Mapping
 
 MAX_EXPONENT_DEFAULT = 2**31 - 1
@@ -259,22 +261,49 @@ class Poly:
                     out[exps] = v
             return Poly(self.ring, out, _internal=True)
         self._check_ring(other)
-        norm = self.ring._normalize
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                s = norm(out.get(exps, 0) + c1 * c2)
-                if s:
-                    out[exps] = s
-                elif exps in out:
-                    del out[exps]
+        out = self._accumulate(zip(self._terms.items(), itertools.repeat(other._terms.items())))
         for exps in out:
             if any(e > _EXPONENT_LIMIT for e in exps):
                 raise ExponentOverflowError("exponent overflow in product")
         return Poly(self.ring, out, _internal=True)
 
     __rmul__ = __mul__
+
+    def _accumulate(self, rows) -> dict[tuple[int, ...], int]:
+        """The pair loop of a product: sum c1*c2 at e1+e2 over every
+        ((e1, c1), partners) row and every (e2, c2) of its partners."""
+        norm = self.ring._normalize
+        out: dict[tuple[int, ...], int] = {}
+        for (e1, c1), partners in rows:
+            for e2, c2 in partners:
+                exps = tuple(a + b for a, b in zip(e1, e2))
+                s = norm(out.get(exps, 0) + c1 * c2)
+                if s:
+                    out[exps] = s
+                elif exps in out:
+                    del out[exps]
+        return out
+
+    def truncate(self, q: int) -> "Poly":
+        """The terms with every exponent below q: the normal form of self
+        modulo the monomial ideal (x_1^q, ..., x_n^q)."""
+        kept = {exps: c for exps, c in self._terms.items() if max(exps, default=0) < q}
+        return Poly(self.ring, kept, _internal=True)
+
+    def mul_trunc(self, other: "Poly", q: int) -> "Poly":
+        """(self * other).truncate(q), skipping every pair of terms whose
+        exponent sum reaches q in some variable."""
+        self._check_ring(other)
+        right = other.truncate(q)._terms.items()
+        top = max((max(e2, default=0) for e2, _ in right), default=0)
+
+        def partners(e1):
+            if max(e1, default=0) + top < q:
+                return right
+            return [(e2, c2) for e2, c2 in right if max(map(operator.add, e1, e2)) < q]
+
+        left = self.truncate(q)._terms
+        return Poly(self.ring, self._accumulate(zip(left.items(), map(partners, left))), _internal=True)
 
     def scale_exponents(self, factor: int) -> "Poly":
         """Multiply every exponent by ``factor``; over F_p with factor p^k this
@@ -296,13 +325,13 @@ class Poly:
             raise ValueError("frobenius_power needs prime characteristic")
         return self.scale_exponents(p**k)
 
-    def _pow_binary(self, e: int) -> "Poly":
+    def _pow_binary(self, e: int, mul=operator.mul) -> "Poly":
         result = self.ring.one()
         base = self
         while e > 0:
             if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
+                result = mul(result, base)
+            base = mul(base, base) if e > 1 else base
             e >>= 1
         return result
 
@@ -315,19 +344,43 @@ class Poly:
             return self
         p = self.ring.char
         if p and e >= p:
-            # base-p digits: f^e = prod_k (f^{d_k})^{p^k}, each outer power a
-            # plain exponent scaling; exact and far cheaper than binary
-            # exponentiation for Frobenius-sized exponents.
             result = self.ring.one()
-            k = 0
-            while e:
-                d = e % p
-                if d:
-                    result = result * self._pow_binary(d).scale_exponents(p**k)
-                e //= p
-                k += 1
+            for d, scale in self._digits(e):
+                result = result * self._pow_binary(d).scale_exponents(scale)
             return result
         return self._pow_binary(e)
+
+    def _digits(self, e: int) -> Iterator[tuple[int, int]]:
+        """(d_k, p^k) for each nonzero base-p digit d_k of e (e itself, with
+        scale 1, over Z).
+
+        f^e = prod_k (f^{d_k})^{p^k}, and over F_p each outer power is a
+        plain exponent scaling; exact and far cheaper than binary
+        exponentiation for Frobenius-sized exponents.
+        """
+        p = self.ring.char
+        if not p:
+            yield e, 1
+            return
+        scale = 1
+        while e:
+            e, d = divmod(e, p)
+            if d:
+                yield d, scale
+            scale *= p
+
+    def pow_trunc(self, e: int, q: int) -> "Poly":
+        """(self ** e).truncate(q).  Each digit power f^{d_k} is computed
+        with exponents below ceil(q / p^k) before it is scaled by p^k: a
+        larger exponent scales to one of at least q."""
+        if e < 0:
+            raise ValueError("negative exponent")
+        result = self.ring.one().truncate(q)
+        for d, scale in self._digits(e):
+            bound = -(-q // scale)
+            factor = self._pow_binary(d, lambda a, b: a.mul_trunc(b, bound))
+            result = result.mul_trunc(factor.scale_exponents(scale), q)
+        return result
 
     def derivative(self, name: str) -> "Poly":
         i = self.ring.var_index(name)
@@ -386,8 +439,7 @@ class Poly:
             raise ValueError("Frobenius-power ideals need prime characteristic")
         if level < 1:
             raise ValueError("level must be >= 1")
-        q = p**level
-        return all(any(e >= q for e in exps) for exps in self._terms)
+        return self.truncate(p**level).is_zero()
 
     # -- ring changes ---------------------------------------------------
 

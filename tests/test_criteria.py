@@ -14,6 +14,7 @@ from qfsplit.criteria import (
     supersingular_oracle,
 )
 from qfsplit.ring import PolyRing
+from qfsplit.witt import delta_carry
 
 from conftest import random_nonzero_poly
 
@@ -70,6 +71,14 @@ class TestQuasi2:
         assert verdict.f_split is True and verdict.height_le == 1
         assert "clause2" not in (verdict.witnesses or {})
 
+    def test_witnesses_are_hasse_witt_coefficients(self):
+        # certified case: only the coefficient of (xyz)^{q-1} survives
+        # modulo m^[q]; 6!/(2!2!2!) = 90 = 6 mod 7
+        assert quasi2_test(fermat_cubic(7)).witnesses["clause1"].render() == "6*x^6*y^6*z^6"
+        witnesses = quasi2_test(fermat_cubic(5)).witnesses
+        assert witnesses["clause1"].is_zero()
+        assert witnesses["clause2"].render() == "x^24*y^24*z^24"
+
     def test_snc_split(self):
         for p in (2, 3, 5):
             ring = PolyRing(p, ("x", "y", "z"))
@@ -120,6 +129,15 @@ class TestVerdictInvariants:
             Verdict(f_split=True, quasi2=True, height_le=2)
         with pytest.raises(ValueError):
             Verdict(f_split=False, quasi2=True, height_le=None)
+
+    @pytest.mark.parametrize(
+        "f_split,quasi2,height_le",
+        [(False, True, 1), (False, False, 2), (False, None, 1), (False, None, 2),
+         (False, False, 1), (True, None, 1), (False, True, 3)],
+    )
+    def test_contradictory_heights_rejected(self, f_split, quasi2, height_le):
+        with pytest.raises(ValueError):
+            Verdict(f_split, quasi2, height_le)
 
     def test_summaries(self):
         assert Verdict(True, True, 1).summary() == "F-split (height 1)"
@@ -197,3 +215,100 @@ class TestFermatQuarticSurface:
         assert verdict.f_split is False
         assert verdict.quasi2 is False
         assert verdict.height_le is None
+
+
+class TestTruncatedClauses:
+    """quasi2_test against the untruncated clause products, truncated only
+    at the end (the reference is kept here, not in the package)."""
+
+    @staticmethod
+    def reference(f):
+        p = f.ring.char
+        clause1 = (f ** (p - 1)).truncate(p)
+        if not clause1.is_zero():
+            return {"clause1": clause1}
+        clause2 = (f ** (p * p - p - 1) * delta_carry(f)).truncate(p * p)
+        return {"clause1": clause1, "clause2": clause2}
+
+    @pytest.mark.parametrize("p", (2, 3, 5, 7))
+    def test_random_polynomials_match_full_products(self, rng, p):
+        ring = PolyRing(p, ("x", "y", "z"))
+        for _ in range(12):
+            f = random_nonzero_poly(rng, ring, max_terms=3)
+            expected = self.reference(f)
+            verdict = quasi2_test(f)
+            assert verdict.witnesses == expected
+            assert verdict.f_split == ("clause2" not in expected)
+            assert verdict.quasi2 == any(not w.is_zero() for w in expected.values())
+
+    @pytest.mark.parametrize(
+        "p,text",
+        [(2, "x^3 + y^3 + z^3"), (5, "x^3 + y^3 + z^3"), (3, "z^2 + x^3 + y^4"),
+         (5, "x^3 + y^3 + z^3 + x*y*z"), (7, "x^4 + y^4 + z^4")],
+    )
+    def test_clause2_cases_match_full_products(self, p, text):
+        f = PolyRing(p, ("x", "y", "z")).parse(text)
+        assert quasi2_test(f).witnesses == self.reference(f)
+
+
+def diagonal(p, degree):
+    names = ("x", "y", "z", "w", "v")[:degree]
+    return PolyRing(p, names).parse(" + ".join(f"{v}^{degree}" for v in names))
+
+
+PRIMES_TO_29 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+class TestShiodaKatsuraSweep:
+    # Sum x_i^d in d variables (Shioda-Katsura, Tohoku 1979): for p not
+    # dividing d it is ordinary iff p = 1 mod d, and supersingular otherwise
+    # (every p here has p^k = -1 mod d): height 2 for the cubic curve,
+    # beyond 2 for the quartic K3 surface and the quintic threefold.  For p
+    # dividing d the form is (x_1 + ... + x_d)^d, which is not reduced and so
+    # not quasi-F-split at all.
+    @staticmethod
+    def expected(p, degree):
+        if p % degree == 1:
+            return (True, True, 1)
+        if degree == 3 and p != 3:
+            return (False, True, 2)
+        return (False, False, None)
+
+    @pytest.mark.parametrize(
+        "degree,p",
+        [(3, p) for p in PRIMES_TO_29]
+        + [(4, p) for p in PRIMES_TO_29]
+        + [(5, p) for p in (2, 3, 7, 11)],
+    )
+    def test_diagonal_verdict(self, degree, p):
+        verdict = quasi2_test(diagonal(p, degree))
+        assert (verdict.f_split, verdict.quasi2, verdict.height_le) == self.expected(p, degree)
+
+
+def hesse_point_count(p, lam):
+    """Number of F_p-points of the projective curve x^3 + y^3 + z^3 + lam*xyz."""
+    affine = sum(
+        1
+        for x in range(p)
+        for y in range(p)
+        for z in range(p)
+        if (x**3 + y**3 + z**3 + lam * x * y * z) % p == 0
+    )
+    return (affine - 1) // (p - 1)
+
+
+class TestHesseCubicSweep:
+    # x^3 + y^3 + z^3 + lam*xyz is singular exactly when lam^3 = -27 (the
+    # singular point is (1, 1, 1) up to cube roots of unity).  An elliptic
+    # curve is ordinary (F-split) iff #E(F_p) != 1 mod p, and every elliptic
+    # curve is 2-quasi-F-split.
+    @pytest.mark.parametrize("p", (5, 7, 11, 13))
+    def test_every_nonsingular_member(self, p):
+        ring = PolyRing(p, ("x", "y", "z"))
+        members = [lam for lam in range(p) if (lam**3 + 27) % p]
+        assert len(members) >= p - 3
+        for lam in members:
+            verdict = quasi2_test(ring.parse(f"x^3 + y^3 + z^3 + {lam}*x*y*z"))
+            ordinary = hesse_point_count(p, lam) % p != 1
+            assert verdict.f_split is ordinary, lam
+            assert verdict.quasi2 is True, lam
