@@ -6,10 +6,11 @@ deterministic for a fixed input order.
 
 Every routine runs on one echelon core, ``_eliminate``.  ``solve`` and
 ``nullspace`` transpose their columns into equation rows keyed by column
-index; ``solve`` appends a provenance tail to each row: the right-hand side
-at key ``ncols`` and the row's multiplier on the i-th equation at key
-``ncols + 1 + i``.  Tail keys are never pivots, so the tail carries along
-exactly the multipliers that produced each reduced row.
+index; ``solve`` appends a tail to each row: the right-hand side at key
+``ncols`` and, when a witness is asked for, the row's multiplier on the
+i-th equation at key ``ncols + 1 + i``.  Tail keys are never pivots, so the
+tail carries along exactly the multipliers that produced each reduced row,
+and leaving the multipliers off changes no pivot and no coefficient.
 """
 
 from __future__ import annotations
@@ -112,12 +113,14 @@ def _back_substitute(rows: dict, x: list, p: int) -> list:
     return x
 
 
-def solve(columns: Sequence[dict], rhs: dict, p: int):
+def solve(columns: Sequence[dict], rhs: dict, p: int, *, witness: bool = True):
     """Solve sum_j c_j * columns[j] = rhs exactly over GF(p).
 
     Returns (coefficients, None) when solvable with free variables set to 0,
     or (None, witness) when infeasible; the witness maps row keys of the
-    original equations to multipliers exhibiting 0 = nonzero.
+    original equations to multipliers exhibiting 0 = nonzero.  With
+    ``witness=False`` the multipliers are not carried, an infeasible system
+    returns (None, None), and the coefficients are the same.
     """
     n = len(columns)
     equations = _equations(columns, rhs)
@@ -127,14 +130,18 @@ def solve(columns: Sequence[dict], rhs: dict, p: int):
         val = rhs.get(key, 0) % p
         if val:
             row[n] = val
-        row[n + 1 + i] = 1
+        if witness:
+            row[n + 1 + i] = 1
         if _eliminate(rows, row, p, tail=n) == n:  # reduced to 0 = nonzero
+            if not witness:
+                return None, None
             return None, {keys[k - n - 1]: v for k, v in row.items() if k > n}
     return _back_substitute(rows, [0] * n, p), None
 
 
 def in_span(columns: Sequence[dict], rhs: dict, p: int) -> bool:
-    coeffs, _ = solve(columns, rhs, p)
+    """Is rhs in the span of the columns?  A solve with ``witness=False``."""
+    coeffs, _ = solve(columns, rhs, p, witness=False)
     return coeffs is not None
 
 

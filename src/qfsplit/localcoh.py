@@ -242,24 +242,22 @@ def ring_multiply(m: Poly, xi: H2Class, cover: DoubleCover) -> H2Class:
     return result
 
 
-def witt_carry_class(cover: DoubleCover, splitting: str = "x-first") -> H2Class:
+def witt_carry_class(cover: DoubleCover) -> H2Class:
     """The class eta with {[z]^p/[xy]^p} = V(eta) in W_2 local cohomology.
 
     Requires F(socle) = 0, so every term of the reduced numerator N of z^p
     has u >= p or v >= p.  Split N = P + (N - P), where P holds the terms
-    with u >= p ("x-first") or v >= p ("y-first").  The carry is the Witt
-    addition defect of the two summands over their integer lifts, placed
-    over (x^{p^2}, y^{p^2}).  P and N - P have disjoint supports, so the
-    defect is delta(N) - delta(P) - delta(N - P); every term of delta(P)
-    has u >= p^2 and every term of delta(N - P) has v >= p^2, so both die
-    in the normal form.  The class is therefore nf(delta(N)), the same for
-    either splitting.
+    with u >= p (or, equally well, those with v >= p).  The carry is the
+    Witt addition defect of the two summands over their integer lifts,
+    placed over (x^{p^2}, y^{p^2}).  P and N - P have disjoint supports, so
+    the defect is delta(N) - delta(P) - delta(N - P); every term of
+    delta(P) has u >= p^2 and every term of delta(N - P) has v >= p^2, so
+    both die in the normal form.  The class is therefore nf(delta(N)),
+    whichever way N is split.
     """
     p = cover.p
     if not frobenius_h2(socle(cover), cover).is_zero():
         raise SocleSurvivesError("F(socle) != 0; the cover is F-split at the socle")
-    if splitting not in ("x-first", "y-first"):
-        raise ValueError(f"unknown splitting strategy {splitting!r}")
     carry = witt.delta_carry(cover.frobenius_numerator())
     return normal_form(carry, (p * p, p * p), cover)
 
@@ -364,7 +362,7 @@ class LocalCohAnalysis:
     flags: tuple[str, ...] = field(default_factory=tuple)
 
 
-def analyze(cover: DoubleCover, splitting: str = "x-first") -> LocalCohAnalysis:
+def analyze(cover: DoubleCover) -> LocalCohAnalysis:
     """Full 2-quasi-F-split analysis of a double cover.
 
     A surviving socle certifies F-splitness (height 1).  Otherwise the
@@ -380,7 +378,7 @@ def analyze(cover: DoubleCover, splitting: str = "x-first") -> LocalCohAnalysis:
             f_split=True, quasi2=True, height_le=1, flags=tuple(flags)
         )
         return LocalCohAnalysis(verdict, socle_image, None, None, tuple(flags))
-    carry = witt_carry_class(cover, splitting=splitting)
+    carry = witt_carry_class(cover)
     membership = frobenius_image_membership(carry, cover)
     if membership.feasible and membership.escalations:
         # the initial candidate bound was under-inclusive

@@ -10,13 +10,19 @@ Frobenius-image code paths:
   linear coordinates over F_p: a class of (a_0, a_1) maps to
   (a_0, a_1 + delta(a_0)) with the second slot reduced modulo p-th powers
   {c^p}; the delta twist absorbs the Witt addition carry, making the
-  coordinate map additive, so the vanishing is a plain span test.
+  coordinate map additive, so the vanishing is a plain span test.  The
+  p-th powers are spanned by x^{pu} y^{pv} and x^{pu} y^{pv} nf(z^p); the
+  oracle reduces z^p itself once per call and builds every such row, and
+  the socle numerator, by re-keying a shift of that one normal form.
 
 * `splitting_search` looks for the splitting itself: a graded module
   homomorphism alpha: Q -> R with alpha(Phi(1)) = 1, solved for on the
   truncated graded pieces of a quasi-homogeneous cover.  Feasibility of
   the truncated system is decided by exact linear algebra; the unknown
   count grows like p^4, so this route is for small primes.
+
+Both routes only ask whether a system is feasible, so they solve without
+the infeasibility witness (``witness=False``).
 """
 
 from __future__ import annotations
@@ -29,16 +35,28 @@ from .ring import Poly
 from .witt import delta_carry
 
 
-def _k2_reducer(cover: DoubleCover, monomials) -> GaussianBasis:
+def _z_power_normal_form(cover: DoubleCover) -> dict:
+    """The oracle's own nf(z^p) as a term map: z^p rewritten to z-degree
+    <= 1 by z^2 = -g, once per oracle call and never the engine's cache."""
+    return reduce_modulo_cover(cover.ring_xyz.gen("z") ** cover.p, cover).term_map()
+
+
+def _shift(terms: dict, du: int, dv: int) -> dict:
+    """x^du y^dv times a polynomial given by its term map."""
+    return {(u + du, v + dv, w): c for (u, v, w), c in terms.items()}
+
+
+def _k2_reducer(p: int, zp: dict, monomials) -> GaussianBasis:
     """Row space of the p-th powers nf(m^p), m = x^u y^v z^eps for each
-    (u, v, eps) in monomials, on monomial keys (u, v, z-exp)."""
-    p = cover.p
-    ring = cover.ring_xyz
+    (u, v, eps) in monomials, on monomial keys (u, v, z-exp).
+
+    nf(m^p) = x^{pu} y^{pv} nf(z^p)^eps, so each row is the single key
+    (pu, pv, 0) or the oracle's nf(z^p) (the term map zp) re-keyed by the
+    shift (pu, pv); no polynomial is multiplied.
+    """
     basis = GaussianBasis(p)
-    zp = reduce_modulo_cover(ring.gen("z") ** p, cover)
     for u, v, eps in monomials:
-        body = ring.monomial({"x": p * u, "y": p * v})
-        basis.add((body * zp if eps else body).term_map())
+        basis.add(_shift(zp, p * u, p * v) if eps else {(p * u, p * v, 0): 1})
     return basis
 
 
@@ -47,26 +65,25 @@ def _slot1_vector(cover: DoubleCover, poly: Poly, k2: GaussianBasis) -> dict:
     return k2.reduce(reduced.term_map())
 
 
-def _socle_image_vanishes(cover: DoubleCover, shift: int) -> bool:
-    """Is (xy)^shift * Phi(socle-numerator) in x^L Q + y^L Q for L = 1 + shift?"""
+def _socle_image_vanishes(cover: DoubleCover, shift: int, zp: dict) -> bool:
+    """Is (xy)^shift * Phi(socle-numerator) in x^L Q + y^L Q for L = 1 + shift?
+
+    zp is the oracle's nf(z^p); the numerator is its shift by (xy)^{p shift}.
+    """
     p = cover.p
-    ring = cover.ring_xyz
     level = 1 + shift
-    z = ring.gen("z")
-    numerator = ring.monomial({"x": p * shift, "y": p * shift}) * reduce_modulo_cover(
-        z**p, cover
-    )
+    numerator = _shift(zp, p * shift, p * shift)
 
     # Slot 0: single-monomial columns x^L.(m, 0) and y^L.(m, 0); membership is
     # per-monomial divisibility by x^{pL} or y^{pL}.
-    for (u, v, _w), _c in numerator.term_map().items():
+    for u, v, _w in numerator:
         if u < p * level and v < p * level:
             return False
 
     # Slot 1: the delta twist of the numerator, modulo p-th powers, must lie
     # in the span of transported slot-1 monomials x^{p^2 L} m and y^{p^2 L} m.
     slot_shift = p * p * level
-    delta = reduce_modulo_cover(delta_carry(numerator), cover)
+    delta = reduce_modulo_cover(delta_carry(cover.ring_xyz.from_terms(numerator)), cover)
     if delta.is_zero():
         return True
     support = delta.term_map()
@@ -76,7 +93,8 @@ def _socle_image_vanishes(cover: DoubleCover, shift: int) -> bool:
     box_x = max_x + buffer
     box_y = max_y + buffer
     k2 = _k2_reducer(
-        cover,
+        p,
+        zp,
         [
             (a, b, w)
             for w in (0, 1)
@@ -124,7 +142,7 @@ def _socle_image_vanishes(cover: DoubleCover, shift: int) -> bool:
                         continue
                     seen_vectors.add(stamp)
                     columns.append(vec)
-    coeffs, _ = solve(columns, target, p)
+    coeffs, _ = solve(columns, target, p, witness=False)
     return coeffs is not None
 
 
@@ -139,8 +157,9 @@ def quasi2_cech_oracle(cover: DoubleCover) -> bool:
     """
     p = cover.p
     base = p * p - p
+    zp = _z_power_normal_form(cover)
     for extra in (0, p):
-        if _socle_image_vanishes(cover, base + extra):
+        if _socle_image_vanishes(cover, base + extra, zp):
             return False
     return True
 
@@ -189,6 +208,18 @@ def _monomials_of_weight_at_most(cover, weights, cap):
     return out
 
 
+def _times_generator(r: tuple[int, int, int], index: int, neg_g: dict) -> dict:
+    """nf(t * r) for the generator t = (x, y, z)[index] and a monomial r of
+    z-degree <= 1: bump one exponent, and when z reaches 2 use z^2 = -g,
+    one shift of -g (the term map neg_g)."""
+    bumped = list(r)
+    bumped[index] += 1
+    u, v, w = bumped
+    if w == 2:
+        return _shift(neg_g, u, v)
+    return {(u, v, w): 1}
+
+
 def splitting_search(cover: DoubleCover) -> bool:
     """Feasibility of a graded splitting alpha: Q_{R,2} -> R on a window.
 
@@ -200,9 +231,11 @@ def splitting_search(cover: DoubleCover) -> bool:
     so the unknowns are the values alpha(b) in R at degree deg(b)/p^2 for
     lattice basis elements b, subject to alpha(t.b) = t*alpha(b) for
     t in {x, y, z} and alpha(class(1, 0)) = 1.  The window is weighted
-    R-degree <= 4 p^2.  Infeasibility certifies that no splitting exists;
-    feasibility is the windowed converse, validated against the other
-    routes on the corpus.
+    R-degree <= 4 p^2.  The equations need t*r for every generator t and
+    window monomial r of z-degree <= 1; ``_times_generator`` builds each one
+    directly, one bumped exponent or, when z reaches 2, one shift of -g.
+    Infeasibility certifies that no splitting exists; feasibility is the
+    windowed converse, validated against the other routes on the corpus.
     """
     p = cover.p
     ring = cover.ring_xyz
@@ -210,7 +243,9 @@ def splitting_search(cover: DoubleCover) -> bool:
     degree_cap = 4 * p * p  # weighted R-degree window
     q_cap = p * p * degree_cap
 
-    k2 = _k2_reducer(cover, _monomials_of_weight_at_most(cover, weights, q_cap // p))
+    k2 = _k2_reducer(
+        p, _z_power_normal_form(cover), _monomials_of_weight_at_most(cover, weights, q_cap // p)
+    )
 
     def q_degree(slot: str, exps) -> int:
         scale = p if slot == "0" else 1
@@ -266,14 +301,14 @@ def splitting_search(cover: DoubleCover) -> bool:
         elif row_key in column:
             del column[row_key]
 
-    gens = {"x": ring.gen("x"), "y": ring.gen("y"), "z": ring.gen("z")}
-    weight_of = dict(zip(("x", "y", "z"), weights))
+    neg_g = cover.neg_g.term_map()
+    gens = [ring.gen(t) for t in ("x", "y", "z")]
     cid = 0
     for slot, basis in (("0", slot0), ("1", slot1)):
         for b in basis:
             source_degree = q_degree(slot, b) // (p * p)
-            for t, t_poly in gens.items():
-                if source_degree + weight_of[t] > degree_cap:
+            for index, t_poly in enumerate(gens):
+                if source_degree + weights[index] > degree_cap:
                     continue
                 if slot == "0":
                     moved = coords(t_poly**p * ring.from_terms({b: 1}), ring.zero())
@@ -284,8 +319,7 @@ def splitting_search(cover: DoubleCover) -> bool:
                     for r in r_basis(q_degree(mslot, mb) // (p * p)):
                         add_term((cid, r), ((mslot, mb), r), coeff)
                 for r in r_basis(source_degree):
-                    product = reduce_modulo_cover(t_poly * ring.from_terms({r: 1}), cover)
-                    for exps, c in product.term_map().items():
+                    for exps, c in _times_generator(r, index, neg_g).items():
                         add_term((cid, exps), ((slot, b), r), -c)
                 cid += 1
 
@@ -294,5 +328,5 @@ def splitting_search(cover: DoubleCover) -> bool:
     rhs = {("phi", (0, 0, 0)): 1}
 
     ordered = sorted(columns, key=repr)
-    solution, _ = solve([columns[key] for key in ordered], rhs, p)
+    solution, _ = solve([columns[key] for key in ordered], rhs, p, witness=False)
     return solution is not None

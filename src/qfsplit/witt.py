@@ -7,6 +7,12 @@ componentwise over Z, and solve the recursion back with exact division by
 p^k.  The divisions are exact because replacing a coordinate by any lift
 congruent mod p perturbs the ghost by multiples of p^{k+1}; that also
 makes the mod-p reduction of each solved coordinate lift-independent.
+
+A vector is immutable, so its ghost vector (over the canonical lifts) is
+computed at most once and kept on the vector.  ``from_ghost`` already
+raises the lifts of the coordinates it solves to the powers that ghost
+needs, so it leaves the result's ghost in place too, and a chain of
+operations never rebuilds the ghost of an intermediate result.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ class WittLengthError(ValueError):
 class WittVector:
     """Immutable Witt vector (a_0, ..., a_{n-1}) of polynomials over F_p."""
 
-    __slots__ = ("ring", "components")
+    __slots__ = ("ring", "components", "_ghost")
 
     def __init__(self, ring: PolyRing, components: Sequence[Poly], length_cap: int = DEFAULT_LENGTH_CAP):
         if ring.char == 0:
@@ -40,6 +46,7 @@ class WittVector:
                 raise RingMismatchError("component ring differs from Witt ring context")
         self.ring = ring
         self.components = components
+        self._ghost = None
 
     # -- constructors -----------------------------------------------------
 
@@ -102,7 +109,10 @@ class WittVector:
     # -- ghost components ----------------------------------------------------
 
     def ghost(self) -> tuple[Poly, ...]:
-        """Exact integer ghost vector (w_0, ..., w_{n-1})."""
+        """Exact integer ghost vector (w_0, ..., w_{n-1}) of the lifts in
+        [0, p), computed on first use and kept on the vector."""
+        if self._ghost is not None:
+            return self._ghost
         lift_ring = self.ring.lift_ring()
         p = self.ring.char
         lifts = [a.lift_integers(lift_ring) for a in self.components]
@@ -112,24 +122,33 @@ class WittVector:
             for i in range(k + 1):
                 w = w + (p**i) * lifts[i] ** (p ** (k - i))
             out.append(w)
-        return tuple(out)
+        self._ghost = tuple(out)
+        return self._ghost
 
     @classmethod
     def from_ghost(cls, ring: PolyRing, ghost: Sequence[Poly]) -> "WittVector":
-        """Solve the ghost recursion back to Witt coordinates mod p."""
+        """Solve the ghost recursion back to Witt coordinates mod p.
+
+        The result's own ghost is w'_k = sum_{i<k} p^i lift_i^{p^{k-i}} +
+        p^k lift_k over the lifts of the solved coordinates; the sum is the
+        part the recursion subtracts, so it is kept as the result's ghost.
+        """
         p = ring.char
         lift_ring = ring.lift_ring()
         comps: list[Poly] = []
         lifts: list[Poly] = []
+        canonical: list[Poly] = []
         for k, w in enumerate(ghost):
-            num = w
+            lower = lift_ring.zero()
             for i in range(k):
-                num = num - (p**i) * lifts[i] ** (p ** (k - i))
-            solved = num.divide_exact(p**k)
-            c = solved.reduce_mod(ring)
+                lower = lower + (p**i) * lifts[i] ** (p ** (k - i))
+            c = (w - lower).divide_exact(p**k).reduce_mod(ring)
             comps.append(c)
             lifts.append(c.lift_integers(lift_ring))
-        return cls(ring, comps)
+            canonical.append(lower + (p**k) * lifts[k])
+        result = cls(ring, comps)
+        result._ghost = tuple(canonical)
+        return result
 
     # -- ring operations ----------------------------------------------------
 

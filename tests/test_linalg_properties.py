@@ -50,6 +50,16 @@ def test_solve_returns_solution_or_witness(system):
 
 @settings(deadline=None)
 @given(systems())
+def test_witness_free_solve_matches_solve(system):
+    p, columns, rhs = system
+    coeffs, _ = solve(columns, rhs, p)
+    lean = solve(columns, rhs, p, witness=False)
+    assert lean == (coeffs, None)  # (None, None) when infeasible
+    assert in_span(columns, rhs, p) == (coeffs is not None)
+
+
+@settings(deadline=None)
+@given(systems())
 def test_nullspace_is_a_kernel_basis(system):
     p, columns, _ = system
     kernel = nullspace(columns, p)

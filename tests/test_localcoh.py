@@ -19,7 +19,7 @@ from qfsplit.localcoh import (
     witt_carry_class,
 )
 from qfsplit.ring import PolyRing
-from qfsplit.witt import WittVector
+from qfsplit.witt import WittVector, delta_carry
 
 
 @pytest.fixture
@@ -169,9 +169,18 @@ class TestWittCarry:
             witt_carry_class(cover)
 
     def test_splitting_independence_of_verdict(self, e6_p3):
-        a = witt_carry_class(e6_p3, splitting="x-first")
-        b = witt_carry_class(e6_p3, splitting="y-first")
-        assert in_frobenius_image(a, e6_p3) == in_frobenius_image(b, e6_p3)
+        # for either split N = P + (N - P) of the reduced z^p numerator, the
+        # addition defect delta(N) - delta(P) - delta(N - P) has the class
+        # witt_carry_class computes
+        p = 3
+        ring = e6_p3.ring_xyz
+        n_poly = reduce_modulo_cover(ring.gen("z") ** p, e6_p3)
+        carry = witt_carry_class(e6_p3)
+        for axis in (0, 1):
+            part = ring.from_terms({k: c for k, c in n_poly.term_map().items() if k[axis] >= p})
+            assert 0 < len(part) < len(n_poly)
+            defect = delta_carry(n_poly) - delta_carry(part) - delta_carry(n_poly - part)
+            assert normal_form(defect, (p * p, p * p), e6_p3) == carry
 
     def test_w2_reconstruction(self, e6_p3):
         # [N] = [x^p A] + [y^p B] + V(E): rebuilding the Teichmuller lift of

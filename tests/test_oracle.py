@@ -1,9 +1,14 @@
 import pytest
 
-from qfsplit.localcoh import DoubleCover, analyze
+from qfsplit.linalg import GaussianBasis
+from qfsplit.localcoh import DoubleCover, analyze, reduce_modulo_cover
 from qfsplit.ring import PolyRing
 from qfsplit.splitting_oracle import (
     NotQuasiHomogeneousError,
+    _k2_reducer,
+    _monomials_of_weight_at_most,
+    _times_generator,
+    _z_power_normal_form,
     quasi2_cech_oracle,
     quasi_homogeneous_weights,
     splitting_search,
@@ -102,3 +107,35 @@ def test_oracle_on_e12_cover_is_negative(p):
     cover = make_cover(p, "x^3 + y^7")
     assert analyze(cover).verdict.quasi2 is False
     assert quasi2_cech_oracle(cover) is False
+
+
+# The oracles build their rows and equation terms by re-keying term maps;
+# the tests below keep the Poly-product form as the reference.
+TABLE_CASES = [("A1", 2, "x*y"), ("E6", 3, "x^3 + y^4"), ("E8", 5, "x^3 + y^5")]
+
+
+@pytest.mark.parametrize("name,p,text", TABLE_CASES)
+def test_k2_rows_are_rekeyed_poly_products(name, p, text):
+    cover = make_cover(p, text)
+    ring = cover.ring_xyz
+    zp = reduce_modulo_cover(ring.gen("z") ** p, cover)
+    assert _z_power_normal_form(cover) == zp.term_map()
+    monomials = [(u, v, eps) for eps in (0, 1) for u in range(5) for v in range(5)]
+    reference = GaussianBasis(p)
+    for u, v, eps in monomials:
+        body = ring.monomial({"x": p * u, "y": p * v})
+        reference.add((body * zp if eps else body).term_map())
+    assert _k2_reducer(p, zp.term_map(), monomials).rows == reference.rows
+
+
+@pytest.mark.parametrize("name,p,text", TABLE_CASES)
+def test_generator_table_matches_poly_products(name, p, text):
+    cover = make_cover(p, text)
+    ring = cover.ring_xyz
+    neg_g = cover.neg_g.term_map()
+    window = _monomials_of_weight_at_most(cover, quasi_homogeneous_weights(cover), 4 * p * p)
+    assert any(eps for _u, _v, eps in window)
+    for index, t in enumerate(("x", "y", "z")):
+        for r in window:
+            product = reduce_modulo_cover(ring.gen(t) * ring.from_terms({r: 1}), cover)
+            assert _times_generator(r, index, neg_g) == product.term_map()

@@ -142,6 +142,26 @@ class TestGhostOracle:
                     assert u * (v + w) == u * v + u * w
 
 
+class TestGhostCache:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_cached_ghost_is_the_canonical_ghost(self, rng, p, n):
+        # from_ghost leaves the result's ghost in place; it must be the ghost
+        # of the result's own coordinates, as computed from scratch
+        ring = PolyRing(p, ("x", "y"))
+        for _ in range(4):
+            u = random_witt(rng, ring, n)
+            v = random_witt(rng, ring, n)
+            s = u + v
+            for r in (s, u - v, u * v, -u, s * v, s - u * v, -(u * v)):
+                assert r._ghost is not None
+                assert r.ghost() == WittVector(r.ring, r.components).ghost()
+
+    def test_ghost_is_computed_once(self, r3):
+        w = WittVector(r3, [r3.gen("x"), r3.gen("y")])
+        assert w.ghost() is w.ghost()
+
+
 class TestStructuralMaps:
     def test_frobenius_componentwise(self, r3):
         w = WittVector(r3, [r3.gen("x"), r3.gen("y")])
