@@ -11,6 +11,13 @@ index; ``solve`` appends a tail to each row: the right-hand side at key
 i-th equation at key ``ncols + 1 + i``.  Tail keys are never pivots, so the
 tail carries along exactly the multipliers that produced each reduced row,
 and leaving the multipliers off changes no pivot and no coefficient.
+
+``solve`` eliminates only the block of the right-hand side: the columns
+reached from the keys of rhs by walking key -> columns containing it ->
+their keys.  Blocks share no key, so a row of one block only ever meets
+pivot rows of the same block, in the same relative order as in the full
+system; every other column keeps coefficient 0, and an infeasible system
+yields the same first ``0 = nonzero`` row with the same multipliers.
 """
 
 from __future__ import annotations
@@ -88,10 +95,11 @@ def rank(vectors: Sequence[dict], p: int) -> int:
     return basis.rank
 
 
-def _equations(columns: Sequence[dict], extra_keys=()) -> dict:
-    """Equation key -> {column index: coefficient}, in the solver's row order."""
+def _equations(indexed_columns, extra_keys=()) -> dict:
+    """Equation key -> {column index: coefficient}, in the solver's row order,
+    for (index, column) pairs in increasing index order."""
     by_key: dict = {}
-    for j, col in enumerate(columns):
+    for j, col in indexed_columns:
         for key, v in col.items():
             by_key.setdefault(key, {})[j] = v
     for key in extra_keys:
@@ -113,6 +121,27 @@ def _back_substitute(rows: dict, x: list, p: int) -> list:
     return x
 
 
+def _rhs_block(columns: Sequence[dict], rhs: dict) -> list[int]:
+    """Indices, in increasing order, of the columns connected to a key of rhs
+    in the bipartite graph joining each column to the keys it contains."""
+    holders: dict = {}
+    for j, col in enumerate(columns):
+        for key in col:
+            holders.setdefault(key, []).append(j)
+    reached: set[int] = set()
+    seen = set(rhs)
+    frontier = list(rhs)
+    while frontier:
+        for j in holders.get(frontier.pop(), ()):
+            if j not in reached:
+                reached.add(j)
+                for key in columns[j]:
+                    if key not in seen:
+                        seen.add(key)
+                        frontier.append(key)
+    return sorted(reached)
+
+
 def solve(columns: Sequence[dict], rhs: dict, p: int, *, witness: bool = True):
     """Solve sum_j c_j * columns[j] = rhs exactly over GF(p).
 
@@ -121,9 +150,16 @@ def solve(columns: Sequence[dict], rhs: dict, p: int, *, witness: bool = True):
     original equations to multipliers exhibiting 0 = nonzero.  With
     ``witness=False`` the multipliers are not carried, an infeasible system
     returns (None, None), and the coefficients are the same.
+
+    Only the block of rhs is eliminated (see ``_rhs_block``); the other
+    columns are treated as empty.  That is exact: no key of rhs lies outside
+    the block, other blocks could only ever cancel among themselves, and
+    within the block the rows meet the same pivots in the same order as in
+    the whole system, so the coefficients (0 off the block), the
+    feasibility and the witness are those of the whole system.
     """
     n = len(columns)
-    equations = _equations(columns, rhs)
+    equations = _equations(((j, columns[j]) for j in _rhs_block(columns, rhs)), rhs)
     keys = list(equations)
     rows: dict[int, dict] = {}
     for i, (key, row) in enumerate(equations.items()):
@@ -149,7 +185,7 @@ def nullspace(columns: Sequence[dict], p: int) -> list[list[int]]:
     """Basis of {c : sum_j c_j * columns[j] = 0}, free variables one-hot."""
     n = len(columns)
     rows: dict[int, dict] = {}
-    for coeffs in _equations(columns).values():
+    for coeffs in _equations(enumerate(columns)).values():
         _eliminate(rows, coeffs, p)
     basis = []
     for free in range(n):

@@ -285,8 +285,11 @@ def frobenius_image_membership(eta: H2Class, cover: DoubleCover) -> MembershipRe
     Candidate sources are bounded by i, j <= B; a term of F(z^eps/(x^i y^j))
     has denominator x-exponent at least p*i minus the z-reduction growth, so
     sources beyond B cannot meet eta's support.  Over-inclusion is harmless
-    (the solve demands zero residual everywhere); a too-small bound shows up
-    as an infeasible system and is retried with B doubled.
+    (the solve demands zero residual everywhere) and costs only the
+    construction of the extra columns: ``linalg.solve`` eliminates only the
+    block of columns connected to eta's support, and columns outside it get
+    coefficient 0.  A too-small bound shows up as an infeasible system and is
+    retried with B doubled.
 
     Feasibility is monotone in B (a larger bound only adds columns), so a
     feasible answer is final.  An infeasible one is not a proof: stopping

@@ -13,13 +13,20 @@ Frobenius-image code paths:
   coordinate map additive, so the vanishing is a plain span test.  The
   p-th powers are spanned by x^{pu} y^{pv} and x^{pu} y^{pv} nf(z^p); the
   oracle reduces z^p itself once per call and builds every such row, and
-  the socle numerator, by re-keying a shift of that one normal form.
+  the socle numerator, by re-keying a shift of that one normal form.  The
+  delta twist of a numerator shifted by a monomial m is m^p times that of
+  nf(z^p), so one delta per call serves both levels, and both levels
+  reduce against one K_2 basis: the deeper level only adds the rows of its
+  larger box.
 
 * `splitting_search` looks for the splitting itself: a graded module
   homomorphism alpha: Q -> R with alpha(Phi(1)) = 1, solved for on the
   truncated graded pieces of a quasi-homogeneous cover.  Feasibility of
   the truncated system is decided by exact linear algebra; the unknown
-  count grows like p^4, so this route is for small primes.
+  count grows like p^4, so this route is for small primes.  Every module
+  move t.b comes from a table built once per call: a shifted monomial, or
+  a shift of the search's own nf(z^{p+eps}), nf(delta(nf(z^{p+eps}))) or
+  nf(z^{p^2+eps}), then one K_2 reduction.
 
 Both routes only ask whether a system is feasible, so they solve without
 the infeasibility witness (``witness=False``).
@@ -31,14 +38,22 @@ from fractions import Fraction
 
 from .linalg import GaussianBasis, solve
 from .localcoh import DoubleCover, reduce_modulo_cover
-from .ring import Poly
 from .witt import delta_carry
 
 
-def _z_power_normal_form(cover: DoubleCover) -> dict:
-    """The oracle's own nf(z^p) as a term map: z^p rewritten to z-degree
-    <= 1 by z^2 = -g, once per oracle call and never the engine's cache."""
-    return reduce_modulo_cover(cover.ring_xyz.gen("z") ** cover.p, cover).term_map()
+def _z_power_normal_form(cover: DoubleCover, exponent: int | None = None) -> dict:
+    """The oracle's own nf(z^exponent) (z^p by default) as a term map: the
+    power rewritten to z-degree <= 1 by z^2 = -g, once per oracle call and
+    never the engine's cache."""
+    e = cover.p if exponent is None else exponent
+    return reduce_modulo_cover(cover.ring_xyz.gen("z") ** e, cover).term_map()
+
+
+def _delta_normal_form(cover: DoubleCover, terms: dict) -> dict:
+    """nf(delta(f)) for the polynomial f with the given term map.  For a
+    monomial m with coefficient 1, delta(m f) = m^p delta(f), so the carry
+    of any shift of f is the matching shift of this one."""
+    return reduce_modulo_cover(delta_carry(cover.ring_xyz.from_terms(terms)), cover).term_map()
 
 
 def _shift(terms: dict, du: int, dv: int) -> dict:
@@ -54,96 +69,126 @@ def _k2_reducer(p: int, zp: dict, monomials) -> GaussianBasis:
     (pu, pv, 0) or the oracle's nf(z^p) (the term map zp) re-keyed by the
     shift (pu, pv); no polynomial is multiplied.
     """
-    basis = GaussianBasis(p)
+    return _add_k2_rows(GaussianBasis(p), zp, monomials)
+
+
+def _add_k2_rows(basis: GaussianBasis, zp: dict, monomials) -> GaussianBasis:
+    """Add the rows of ``_k2_reducer`` for each (u, v, eps) in monomials."""
+    p = basis.p
     for u, v, eps in monomials:
         basis.add(_shift(zp, p * u, p * v) if eps else {(p * u, p * v, 0): 1})
     return basis
 
 
-def _slot1_vector(cover: DoubleCover, poly: Poly, k2: GaussianBasis) -> dict:
-    reduced = reduce_modulo_cover(poly, cover)
-    return k2.reduce(reduced.term_map())
+class _CechLevels:
+    """One Cech oracle call: the oracle's nf(z^p) and nf(delta(nf(z^p))),
+    and one K_2 basis that each level grows to cover its box.
 
-
-def _socle_image_vanishes(cover: DoubleCover, shift: int, zp: dict) -> bool:
-    """Is (xy)^shift * Phi(socle-numerator) in x^L Q + y^L Q for L = 1 + shift?
-
-    zp is the oracle's nf(z^p); the numerator is its shift by (xy)^{p shift}.
+    The basis holds the rows of the monomials x^a y^b z^w with a < na and
+    b < nb for (na, nb) = ``extent``; the box only grows with the level, so
+    a level adds just the rows outside the previous extent.
+    GaussianBasis.reduce returns the canonical remainder, which depends only
+    on the row space, so the grown basis reduces exactly as a fresh basis of
+    the same box would.
     """
-    p = cover.p
-    level = 1 + shift
-    numerator = _shift(zp, p * shift, p * shift)
 
-    # Slot 0: single-monomial columns x^L.(m, 0) and y^L.(m, 0); membership is
-    # per-monomial divisibility by x^{pL} or y^{pL}.
-    for u, v, _w in numerator:
-        if u < p * level and v < p * level:
-            return False
+    def __init__(self, cover: DoubleCover):
+        self.cover = cover
+        self.zp = _z_power_normal_form(cover)
+        self.delta_zp = _delta_normal_form(cover, self.zp)
+        self.k2 = GaussianBasis(cover.p)
+        self.extent = (0, 0)
 
-    # Slot 1: the delta twist of the numerator, modulo p-th powers, must lie
-    # in the span of transported slot-1 monomials x^{p^2 L} m and y^{p^2 L} m.
-    slot_shift = p * p * level
-    delta = reduce_modulo_cover(delta_carry(cover.ring_xyz.from_terms(numerator)), cover)
-    if delta.is_zero():
-        return True
-    support = delta.term_map()
-    max_x = max(k[0] for k in support)
-    max_y = max(k[1] for k in support)
-    buffer = p * (1 + cover.g.total_degree())
-    box_x = max_x + buffer
-    box_y = max_y + buffer
-    k2 = _k2_reducer(
-        p,
-        zp,
-        [
+    def box(self, shift: int):
+        """The level's delta twist nf(delta(numerator)) as a term map, the
+        corner (box_x, box_y) of the box of keys around its support, and the
+        extent (na, nb) of K_2 monomials that covers the box; None when the
+        twist is 0.
+
+        The numerator is nf(z^p) shifted by (xy)^{p shift}, so its twist is
+        nf(delta(nf(z^p))) shifted by (xy)^{p^2 shift}.
+        """
+        if not self.delta_zp:
+            return None
+        p = self.cover.p
+        support = _shift(self.delta_zp, p * p * shift, p * p * shift)
+        buffer = p * (1 + self.cover.g.total_degree())
+        box_x = max(k[0] for k in support) + buffer
+        box_y = max(k[1] for k in support) + buffer
+        return support, box_x, box_y, ((box_x + buffer) // p + 1, (box_y + buffer) // p + 1)
+
+    def vanishes(self, shift: int) -> bool:
+        """Is (xy)^shift * Phi(socle-numerator) in x^L Q + y^L Q for L = 1 + shift?"""
+        p = self.cover.p
+        level = 1 + shift
+        numerator = _shift(self.zp, p * shift, p * shift)
+
+        # Slot 0: single-monomial columns x^L.(m, 0) and y^L.(m, 0); membership
+        # is per-monomial divisibility by x^{pL} or y^{pL}.
+        for u, v, _w in numerator:
+            if u < p * level and v < p * level:
+                return False
+
+        # Slot 1: the delta twist of the numerator, modulo p-th powers, must
+        # lie in the span of transported slot-1 monomials x^{p^2 L} m and
+        # y^{p^2 L} m.
+        box = self.box(shift)
+        if box is None:
+            return True
+        support, box_x, box_y, (na, nb) = box
+        old_na, old_nb = self.extent
+        new = [
             (a, b, w)
             for w in (0, 1)
-            for a in range((box_x + buffer) // p + 1)
-            for b in range((box_y + buffer) // p + 1)
-        ],
-    )
-    target = k2.reduce(support)
-    if not target:
-        return True
+            for a in range(na)
+            for b in range(0 if a >= old_na else old_nb, nb)
+        ]
+        _add_k2_rows(self.k2, self.zp, new)
+        self.extent = (na, nb)
+        k2 = self.k2
+        slot_shift = p * p * level
+        target = k2.reduce(support)
+        if not target:
+            return True
 
-    # K_2 reduction moves support only along row-support chains, so every
-    # column that can interact with the target starts inside the target's
-    # row-connected component; columns in other components could at most
-    # cancel among themselves and are dropped.
-    adjacency: dict = {}
-    for row in k2.rows.values():
-        keys = list(row)
-        for key in keys:
-            adjacency.setdefault(key, []).append(keys)
-    component = set(target)
-    frontier = list(target)
-    while frontier:
-        key = frontier.pop()
-        for keys in adjacency.get(key, ()):
-            for other in keys:
-                if other not in component:
-                    component.add(other)
-                    frontier.append(other)
+        # K_2 reduction moves support only along row-support chains, so every
+        # column that can interact with the target starts inside the target's
+        # row-connected component; columns in other components could at most
+        # cancel among themselves and are dropped.
+        adjacency: dict = {}
+        for row in k2.rows.values():
+            keys = list(row)
+            for key in keys:
+                adjacency.setdefault(key, []).append(keys)
+        component = set(target)
+        frontier = list(target)
+        while frontier:
+            key = frontier.pop()
+            for keys in adjacency.get(key, ()):
+                for other in keys:
+                    if other not in component:
+                        component.add(other)
+                        frontier.append(other)
 
-    columns = []
-    seen_vectors = set()
-    for sx, sy in ((slot_shift, 0), (0, slot_shift)):
-        for w in (0, 1):
-            for a in range(max(0, box_x - sx) + 1):
-                for b in range(max(0, box_y - sy) + 1):
-                    key = (sx + a, sy + b, w)
-                    if key not in component:
-                        continue
-                    vec = k2.reduce({key: 1})
-                    if not vec:
-                        continue
-                    stamp = frozenset(vec.items())
-                    if stamp in seen_vectors:
-                        continue
-                    seen_vectors.add(stamp)
-                    columns.append(vec)
-    coeffs, _ = solve(columns, target, p, witness=False)
-    return coeffs is not None
+        columns = []
+        seen_vectors = set()
+        for sx, sy in ((slot_shift, 0), (0, slot_shift)):
+            for w in (0, 1):
+                for a in range(max(0, box_x - sx) + 1):
+                    for b in range(max(0, box_y - sy) + 1):
+                        key = (sx + a, sy + b, w)
+                        if key not in component:
+                            continue
+                        vec = k2.reduce({key: 1})
+                        if not vec:
+                            continue
+                        stamp = frozenset(vec.items())
+                        if stamp in seen_vectors:
+                            continue
+                        seen_vectors.add(stamp)
+                        columns.append(vec)
+        coeffs, _ = solve(columns, target, p, witness=False)
+        return coeffs is not None
 
 
 def quasi2_cech_oracle(cover: DoubleCover) -> bool:
@@ -157,9 +202,9 @@ def quasi2_cech_oracle(cover: DoubleCover) -> bool:
     """
     p = cover.p
     base = p * p - p
-    zp = _z_power_normal_form(cover)
+    levels = _CechLevels(cover)
     for extra in (0, p):
-        if _socle_image_vanishes(cover, base + extra, zp):
+        if levels.vanishes(base + extra):
             return False
     return True
 
@@ -220,6 +265,49 @@ def _times_generator(r: tuple[int, int, int], index: int, neg_g: dict) -> dict:
     return {(u, v, w): 1}
 
 
+def _module_moves(cover: DoubleCover, k2: GaussianBasis, zp: dict):
+    """The move table of ``splitting_search``: move(slot, b, index) is the
+    coordinate vector {(slot, monomial): coefficient} of t.b for the
+    generator t = (x, y, z)[index] and the slot-0 or slot-1 class of the
+    monomial b = x^u y^v z^eps (eps <= 1).
+
+    On slot 0, t acts as t^p: for t in {x, y} the image is one shifted
+    monomial with zero carry; for t = z it is nf(z^{p+eps}) shifted by
+    x^u y^v, whose delta twist nf(delta(nf(z^{p+eps}))) shifted by
+    x^{pu} y^{pv} (delta(m f) = m^p delta(f) for a monomial m) lands in
+    slot 1.  On slot 1, t acts as t^{p^2}: a shifted monomial, or
+    nf(z^{p^2+eps}) shifted by x^u y^v.  The normal forms are reduced once,
+    here (zp is the search's nf(z^p)); each slot-1 part is then one re-key
+    and one K_2 reduction.
+    """
+    p = cover.p
+    z_slot0 = [zp, _z_power_normal_form(cover, p + 1)]
+    twist_slot0 = [_delta_normal_form(cover, terms) for terms in z_slot0]
+    z_slot1 = [_z_power_normal_form(cover, p * p + eps) for eps in (0, 1)]
+
+    def move(slot: str, b: tuple[int, int, int], index: int) -> dict:
+        u, v, eps = b
+        if slot == "0":
+            if index < 2:
+                return {("0", _bumped(b, index, p)): 1}
+            out = {("0", exps): c for exps, c in _shift(z_slot0[eps], u, v).items()}
+            twist = _shift(twist_slot0[eps], p * u, p * v)
+        else:
+            out = {}
+            twist = {_bumped(b, index, p * p): 1} if index < 2 else _shift(z_slot1[eps], u, v)
+        for exps, c in k2.reduce(twist).items():
+            out[("1", exps)] = c
+        return out
+
+    return move
+
+
+def _bumped(b: tuple[int, int, int], index: int, amount: int) -> tuple[int, int, int]:
+    exps = list(b)
+    exps[index] += amount
+    return tuple(exps)
+
+
 def splitting_search(cover: DoubleCover) -> bool:
     """Feasibility of a graded splitting alpha: Q_{R,2} -> R on a window.
 
@@ -234,18 +322,20 @@ def splitting_search(cover: DoubleCover) -> bool:
     R-degree <= 4 p^2.  The equations need t*r for every generator t and
     window monomial r of z-degree <= 1; ``_times_generator`` builds each one
     directly, one bumped exponent or, when z reaches 2, one shift of -g.
+    They also need the coordinates of every module move t.b, which
+    ``_module_moves`` reads off a table of shifted normal forms built once
+    per call, with no polynomial product and no delta per move.
     Infeasibility certifies that no splitting exists; feasibility is the
     windowed converse, validated against the other routes on the corpus.
     """
     p = cover.p
-    ring = cover.ring_xyz
     weights = quasi_homogeneous_weights(cover)
     degree_cap = 4 * p * p  # weighted R-degree window
     q_cap = p * p * degree_cap
 
-    k2 = _k2_reducer(
-        p, _z_power_normal_form(cover), _monomials_of_weight_at_most(cover, weights, q_cap // p)
-    )
+    zp = _z_power_normal_form(cover)
+    k2 = _k2_reducer(p, zp, _monomials_of_weight_at_most(cover, weights, q_cap // p))
+    move = _module_moves(cover, k2, zp)
 
     def q_degree(slot: str, exps) -> int:
         scale = p if slot == "0" else 1
@@ -279,16 +369,6 @@ def splitting_search(cover: DoubleCover) -> bool:
             for r in r_basis(q_degree(slot, b) // (p * p)):
                 unknowns[((slot, b), r)] = len(unknowns)
 
-    def coords(a0: Poly, a1: Poly) -> dict:
-        out: dict = {}
-        red0 = reduce_modulo_cover(a0, cover)
-        for exps, c in red0.term_map().items():
-            out[("0", exps)] = c
-        twist = a1 + delta_carry(red0)
-        for exps, c in _slot1_vector(cover, twist, k2).items():
-            out[("1", exps)] = (out.get(("1", exps), 0) + c) % p
-        return {k: v for k, v in out.items() if v}
-
     columns: dict[tuple, dict] = {key: {} for key in unknowns}
 
     def add_term(row_key, unknown_key, coeff) -> None:
@@ -302,20 +382,15 @@ def splitting_search(cover: DoubleCover) -> bool:
             del column[row_key]
 
     neg_g = cover.neg_g.term_map()
-    gens = [ring.gen(t) for t in ("x", "y", "z")]
     cid = 0
     for slot, basis in (("0", slot0), ("1", slot1)):
         for b in basis:
             source_degree = q_degree(slot, b) // (p * p)
-            for index, t_poly in enumerate(gens):
+            for index in range(3):
                 if source_degree + weights[index] > degree_cap:
                     continue
-                if slot == "0":
-                    moved = coords(t_poly**p * ring.from_terms({b: 1}), ring.zero())
-                else:
-                    moved = coords(ring.zero(), t_poly ** (p * p) * ring.from_terms({b: 1}))
                 # alpha(t.b) - t*alpha(b) = 0 over R-monomials
-                for (mslot, mb), coeff in moved.items():
+                for (mslot, mb), coeff in move(slot, b, index).items():
                     for r in r_basis(q_degree(mslot, mb) // (p * p)):
                         add_term((cid, r), ((mslot, mb), r), coeff)
                 for r in r_basis(source_degree):

@@ -7,7 +7,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from qfsplit.linalg import GaussianBasis, in_span, nullspace, rank, solve  # noqa: E402
+from qfsplit.linalg import (  # noqa: E402
+    GaussianBasis,
+    _back_substitute,
+    _eliminate,
+    _equations,
+    in_span,
+    nullspace,
+    rank,
+    solve,
+)
 
 KEYS = [f"r{i}" for i in range(5)]
 
@@ -95,3 +104,80 @@ def test_reduce_is_the_canonical_remainder(system, data):
     for column in data.draw(st.permutations(columns)):
         shuffled.add(column)
     assert shuffled.reduce(vec) == remainder
+
+
+@st.composite
+def block_systems(draw):
+    """(p, columns, rhs): columns drawn on up to three disjoint key sets and
+    shuffled together, so the system splits into several blocks."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    groups = draw(st.integers(1, 3))
+    columns = []
+    for group in range(groups):
+        keys = st.sampled_from([(group, i) for i in range(4)])
+        vector = st.dictionaries(keys, st.integers(1, p - 1), min_size=1, max_size=3)
+        columns += draw(st.lists(vector, max_size=5))
+    columns = draw(st.permutations(columns))
+    every_key = [(group, i) for group in range(groups) for i in range(4)]
+    rhs = draw(st.dictionaries(st.sampled_from(every_key), st.integers(1, p - 1), max_size=4))
+    return p, columns, rhs
+
+
+@settings(deadline=None)
+@given(block_systems())
+def test_block_solve_is_a_solution_or_a_global_witness(system):
+    p, columns, rhs = system
+    coeffs, witness = solve(columns, rhs, p)
+    if coeffs is not None:
+        assert combine(columns, coeffs, p) == rhs
+    else:
+        # the witness annihilates every column, not only those of rhs's block
+        assert all(dot(witness, column, p) == 0 for column in columns)
+        assert dot(witness, rhs, p) != 0
+
+
+def whole_system_solve(columns, rhs, p, witness):
+    """The elimination of every equation row, with no block restriction."""
+    n = len(columns)
+    equations = _equations(enumerate(columns), rhs)
+    keys = list(equations)
+    rows: dict = {}
+    for i, (key, row) in enumerate(equations.items()):
+        if rhs.get(key, 0) % p:
+            row[n] = rhs[key] % p
+        if witness:
+            row[n + 1 + i] = 1
+        if _eliminate(rows, row, p, tail=n) == n:
+            return None, ({keys[k - n - 1]: v for k, v in row.items() if k > n} if witness else None)
+    return _back_substitute(rows, [0] * n, p), None
+
+
+@settings(deadline=None)
+@given(block_systems())
+def test_block_solve_matches_whole_system(system):
+    p, columns, rhs = system
+    for witness in (True, False):
+        assert solve(columns, rhs, p, witness=witness) == whole_system_solve(columns, rhs, p, witness)
+
+
+@settings(deadline=None)
+@given(block_systems(), st.data())
+def test_fresh_block_changes_nothing(system, data):
+    p, columns, rhs = system
+    # keys (k + 0.5, i) are new, and their reprs sort among the old ones
+    group = data.draw(st.integers(-1, 3)) + 0.5
+    keys = st.sampled_from([(group, i) for i in range(3)])
+    vector = st.dictionaries(keys, st.integers(1, p - 1), min_size=1, max_size=3)
+    extra = data.draw(st.lists(vector, min_size=1, max_size=4))
+    for witness in (True, False):
+        coeffs, certificate = solve(columns, rhs, p, witness=witness)
+        padded = None if coeffs is None else coeffs + [0] * len(extra)
+        assert solve(columns + extra, rhs, p, witness=witness) == (padded, certificate)
+
+
+@settings(deadline=None)
+@given(block_systems())
+def test_untouched_rhs_key_is_its_own_witness(system):
+    p, columns, _ = system
+    key = ("untouched", 0)
+    assert solve(columns, {key: 1}, p) == (None, {key: 1})

@@ -5,7 +5,9 @@ from qfsplit.localcoh import DoubleCover, analyze, reduce_modulo_cover
 from qfsplit.ring import PolyRing
 from qfsplit.splitting_oracle import (
     NotQuasiHomogeneousError,
+    _CechLevels,
     _k2_reducer,
+    _module_moves,
     _monomials_of_weight_at_most,
     _times_generator,
     _z_power_normal_form,
@@ -13,6 +15,7 @@ from qfsplit.splitting_oracle import (
     quasi_homogeneous_weights,
     splitting_search,
 )
+from qfsplit.witt import delta_carry
 
 # Quasi-homogeneous rational-double-point shaped covers with a spread of
 # verdicts: F-split, height exactly 2, and beyond height 2.
@@ -139,3 +142,63 @@ def test_generator_table_matches_poly_products(name, p, text):
         for r in window:
             product = reduce_modulo_cover(ring.gen(t) * ring.from_terms({r: 1}), cover)
             assert _times_generator(r, index, neg_g) == product.term_map()
+
+
+def poly_product_coords(cover, k2, a0, a1):
+    """Q-coordinates of the class of (a0, a1): slot 0 is nf(a0), slot 1 is
+    nf(a1 + delta(nf(a0))) reduced modulo p-th powers."""
+    red0 = reduce_modulo_cover(a0, cover)
+    out = {("0", exps): c for exps, c in red0.term_map().items()}
+    twist = reduce_modulo_cover(a1 + delta_carry(red0), cover)
+    for exps, c in k2.reduce(twist.term_map()).items():
+        out[("1", exps)] = c
+    return out
+
+
+@pytest.mark.parametrize("name,p,text", TABLE_CASES)
+def test_move_table_matches_poly_products(name, p, text):
+    cover = make_cover(p, text)
+    ring = cover.ring_xyz
+    weights = quasi_homogeneous_weights(cover)
+    zp = _z_power_normal_form(cover)
+    k2 = _k2_reducer(p, zp, _monomials_of_weight_at_most(cover, weights, 4 * p**3))
+    move = _module_moves(cover, k2, zp)
+    window = _monomials_of_weight_at_most(cover, weights, p * p * max(weights))
+    assert any(eps for _u, _v, eps in window)
+    zero = ring.zero()
+    for index, t in enumerate(("x", "y", "z")):
+        for b in window:
+            body = ring.from_terms({b: 1})
+            slot0 = poly_product_coords(cover, k2, ring.gen(t) ** p * body, zero)
+            assert move("0", b, index) == slot0
+            slot1 = poly_product_coords(cover, k2, zero, ring.gen(t) ** (p * p) * body)
+            assert move("1", b, index) == slot1
+
+
+# covers that pass the slot-0 test at both levels with a nonzero delta twist
+CECH_CASES = [("E6", 3, "x^3 + y^4"), ("E8", 5, "x^3 + y^5"), ("E12", 5, "x^3 + y^7")]
+
+
+@pytest.mark.parametrize("name,p,text", CECH_CASES)
+def test_grown_cech_basis_reduces_like_a_fresh_one(name, p, text):
+    cover = make_cover(p, text)
+    base = p * p - p
+    levels = _CechLevels(cover)
+    for shift in (base, base + p):
+        levels.vanishes(shift)
+    support, box_x, box_y, (na, nb) = levels.box(base + p)
+    assert levels.extent == (na, nb)
+    monomials = [(a, b, w) for w in (0, 1) for a in range(na) for b in range(nb)]
+    fresh = _k2_reducer(p, levels.zp, monomials)
+    assert levels.k2.rank == fresh.rank
+    slot_shift = p * p * (1 + base + p)
+    keys = list(support) + [
+        (sx + a, sy + b, w)
+        for sx, sy in ((slot_shift, 0), (0, slot_shift))
+        for w in (0, 1)
+        for a in range(max(0, box_x - sx) + 1)
+        for b in range(max(0, box_y - sy) + 1)
+    ]
+    for key in keys:
+        assert levels.k2.reduce({key: 1}) == fresh.reduce({key: 1})
+    assert levels.k2.reduce(support) == fresh.reduce(support)
