@@ -1,22 +1,38 @@
 """Length-n Witt vectors over F_p polynomial rings.
 
-Addition and multiplication are computed through exact integer ghost
-components: lift each coordinate to the representative in [0, p), build
-the ghost vector w_k = sum_{i<=k} p^i a_i^{p^{k-i}}, operate on ghosts
-componentwise over Z, and solve the recursion back with exact division by
-p^k.  The divisions are exact because replacing a coordinate by any lift
-congruent mod p perturbs the ghost by multiples of p^{k+1}; that also
-makes the mod-p reduction of each solved coordinate lift-independent.
+Sums and products never leave F_p.  Each rests on a = [a_0] + V(a'), with
+a' = (a_1, ..., a_{n-1}) in W_{n-1}, and on [s] + V(x) = (s, x_0, x_1, ...):
 
-A vector is immutable, so its ghost vector (over the canonical lifts) is
-computed at most once and kept on the vector.  ``from_ghost`` already
-raises the lifts of the coordinates it solves to the powers that ghost
-needs, so it leaves the result's ghost in place too, and a chain of
-operations never rebuilds the ghost of an intermediate result.
+* a*b = [a_0 b_0] + V([a_0^p]*b' + [b_0^p]*a' + p*(a'b')), where
+  [t]*(c_0, c_1, ...) = (t c_0, t^p c_1, t^{p^2} c_2, ...) and p*c = V F c.
+  p*(a'b') in W_{n-1} reads a'b' only up to length n-2, so a product is
+  one product in W_{n-2} and one three-term sum in W_{n-1}.
+* a+b = [a_0+b_0] + V(tau(a_0, b_0) + a' + b'), where the carry
+  tau in W_{n-1}(F_p[X, Y]) is defined by [X] + [Y] = [X+Y] + V(tau).  A
+  sum of several vectors carries its running head into each next head.
+* -a = (-a_0, -a_1, ...) for odd p, and (1, 1, ..., 1)*a for p = 2, since
+  -1 = 2^n - 1 in W_n(F_2) = Z/2^n.
+
+tau is built once per (p, n), on first use, through the ghost route on
+F_p[X, Y], and kept as base-p digit tries (see ``_digit_trie``): its
+coordinate tau_k is homogeneous of degree p^{k+1}, and
+a^i b^j = a^{i_0} b^{j_0} * F(a^{i'} b^{j'}) for i = i_0 + p i',
+j = j_0 + p j', so every power of p or more is an exponent scaling.  The
+carry of two constants is read off W_n(F_p) = Z/p^n instead, so constant
+operands never need a table.
+
+The ghost route stays as the reference the tests compare against and as
+the builder of tau: lift each coordinate to its representative in [0, p),
+build w_k = sum_{i<=k} p^i a_i^{p^{k-i}} over Z, operate componentwise,
+and solve back with exact division by p^k.  The divisions are exact because
+replacing a coordinate by any lift congruent mod p perturbs the ghost by
+multiples of p^{k+1}; that also makes the mod-p reduction of each solved
+coordinate lift-independent.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 from .ring import Poly, PolyRing, RingMismatchError
@@ -31,7 +47,7 @@ class WittLengthError(ValueError):
 class WittVector:
     """Immutable Witt vector (a_0, ..., a_{n-1}) of polynomials over F_p."""
 
-    __slots__ = ("ring", "components", "_ghost")
+    __slots__ = ("ring", "components")
 
     def __init__(self, ring: PolyRing, components: Sequence[Poly], length_cap: int = DEFAULT_LENGTH_CAP):
         if ring.char == 0:
@@ -46,7 +62,6 @@ class WittVector:
                 raise RingMismatchError("component ring differs from Witt ring context")
         self.ring = ring
         self.components = components
-        self._ghost = None
 
     # -- constructors -----------------------------------------------------
 
@@ -109,66 +124,51 @@ class WittVector:
     # -- ghost components ----------------------------------------------------
 
     def ghost(self) -> tuple[Poly, ...]:
-        """Exact integer ghost vector (w_0, ..., w_{n-1}) of the lifts in
-        [0, p), computed on first use and kept on the vector."""
-        if self._ghost is not None:
-            return self._ghost
+        """Exact integer ghost vector (w_0, ..., w_{n-1}) of the lifts in [0, p)."""
         lift_ring = self.ring.lift_ring()
         p = self.ring.char
-        lifts = [a.lift_integers(lift_ring) for a in self.components]
+        powers: list[Poly] = []  # lift_i^{p^{k-i}} for i <= k
         out = []
-        for k in range(self.n):
-            w = lift_ring.zero()
-            for i in range(k + 1):
-                w = w + (p**i) * lifts[i] ** (p ** (k - i))
-            out.append(w)
-        self._ghost = tuple(out)
-        return self._ghost
+        for k, a in enumerate(self.components):
+            powers = [q**p for q in powers] + [a.lift_integers(lift_ring)]
+            out.append(_ghost_sum(lift_ring, p, powers))
+        return tuple(out)
 
     @classmethod
     def from_ghost(cls, ring: PolyRing, ghost: Sequence[Poly]) -> "WittVector":
-        """Solve the ghost recursion back to Witt coordinates mod p.
-
-        The result's own ghost is w'_k = sum_{i<k} p^i lift_i^{p^{k-i}} +
-        p^k lift_k over the lifts of the solved coordinates; the sum is the
-        part the recursion subtracts, so it is kept as the result's ghost.
-        """
+        """Solve the ghost recursion back to Witt coordinates mod p."""
         p = ring.char
         lift_ring = ring.lift_ring()
         comps: list[Poly] = []
-        lifts: list[Poly] = []
-        canonical: list[Poly] = []
+        powers: list[Poly] = []  # lift_i^{p^{k-i}} for i < k
         for k, w in enumerate(ghost):
-            lower = lift_ring.zero()
-            for i in range(k):
-                lower = lower + (p**i) * lifts[i] ** (p ** (k - i))
+            powers = [q**p for q in powers]
+            lower = _ghost_sum(lift_ring, p, powers)
             c = (w - lower).divide_exact(p**k).reduce_mod(ring)
             comps.append(c)
-            lifts.append(c.lift_integers(lift_ring))
-            canonical.append(lower + (p**k) * lifts[k])
-        result = cls(ring, comps)
-        result._ghost = tuple(canonical)
-        return result
+            powers.append(c.lift_integers(lift_ring))
+        return cls(ring, comps)
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "WittVector") -> "WittVector":
         self._check(other)
-        gu, gv = self.ghost(), other.ghost()
-        return WittVector.from_ghost(self.ring, [a + b for a, b in zip(gu, gv)])
+        return WittVector(self.ring, _sum(self.ring, self.n, [self.components, other.components]))
 
     def __neg__(self) -> "WittVector":
-        return WittVector.from_ghost(self.ring, [-a for a in self.ghost()])
+        ring = self.ring
+        if ring.char == 2:
+            minus_one = (ring.one(),) * self.n
+            return WittVector(ring, _product(ring, minus_one, self.components))
+        return WittVector(ring, [-a for a in self.components])
 
     def __sub__(self, other: "WittVector") -> "WittVector":
         self._check(other)
-        gu, gv = self.ghost(), other.ghost()
-        return WittVector.from_ghost(self.ring, [a - b for a, b in zip(gu, gv)])
+        return self + (-other)
 
     def __mul__(self, other: "WittVector") -> "WittVector":
         self._check(other)
-        gu, gv = self.ghost(), other.ghost()
-        return WittVector.from_ghost(self.ring, [a * b for a, b in zip(gu, gv)])
+        return WittVector(self.ring, _product(self.ring, self.components, other.components))
 
     # -- structural maps ----------------------------------------------------
 
@@ -193,6 +193,134 @@ class WittVector:
             self.components + (self.ring.zero(),) * extra,
             length_cap=max(DEFAULT_LENGTH_CAP, self.n + extra),
         )
+
+
+def _ghost_sum(lift_ring: PolyRing, p: int, powers: Sequence[Poly]) -> Poly:
+    """sum_i p^i powers[i] over Z."""
+    total = lift_ring.zero()
+    for i, q in enumerate(powers):
+        total = total + (p**i) * q
+    return total
+
+
+Coords = tuple[Poly, ...]
+
+
+def _sum(ring: PolyRing, n: int, vectors: Sequence[Coords]) -> Coords:
+    """Sum in W_n of coordinate tuples of length n.
+
+    sum_j ([t_j] + V(v'_j)) = [s] + V(sum_j tau(s_{j-1}, t_j) + sum_j v'_j)
+    with s_j = t_1 + ... + t_j and s = s_m: one sum in W_{n-1}.
+    """
+    vectors = [v for v in vectors if any(v)]
+    if len(vectors) < 2:
+        return vectors[0] if vectors else (ring.zero(),) * n
+    head, tails = ring.zero(), [v[1:] for v in vectors]
+    for v in vectors:
+        if n > 1 and head and v[0]:
+            tails.append(_carry(head, v[0], n))
+        head = head + v[0]
+    return (head,) + (_sum(ring, n - 1, tails) if n > 1 else ())
+
+
+def _teichmuller_times(t: Poly, c: Coords) -> Coords:
+    """[t]*(c_0, c_1, ...) = (t c_0, t^p c_1, t^{p^2} c_2, ...)."""
+    return tuple(t.frobenius_power(k) * ck for k, ck in enumerate(c))
+
+
+def _product(ring: PolyRing, a: Coords, b: Coords) -> Coords:
+    """Product in W_n of coordinate tuples of length n (see module docstring)."""
+    n = len(a)
+    head = a[0] * b[0]
+    if n == 1:
+        return (head,)
+    a1, b1 = a[1:], b[1:]
+    parts = [
+        _teichmuller_times(a[0].frobenius_power(), b1),
+        _teichmuller_times(b[0].frobenius_power(), a1),
+    ]
+    if n > 2 and any(a1[:-1]) and any(b1[:-1]):
+        c = _product(ring, a1[:-1], b1[:-1])
+        parts.append((ring.zero(),) + tuple(ci.frobenius_power() for ci in c))
+    return (head,) + _sum(ring, n - 1, parts)
+
+
+def _is_constant(f: Poly) -> bool:
+    return len(f) == 1 and f.total_degree() == 0
+
+
+def _carry(a: Poly, b: Poly, n: int) -> Coords:
+    """tau(a, b) in W_{n-1}: [a] + [b] = [a+b] + V(tau(a, b)) in W_n."""
+    ring = a.ring
+    p = ring.char
+    if _is_constant(a) and _is_constant(b):
+        return tuple(ring.constant(c) for c in _scalar_carry(p, n, a.constant_term(), b.constant_term()))
+    a_powers, b_powers = [ring.one(), a], [ring.one(), b]
+    products: dict[tuple[int, int], Poly] = {}
+
+    def power(i: int, j: int) -> Poly:
+        """a^i b^j for 0 <= i, j < p, not both 0."""
+        if (i, j) not in products:
+            while len(a_powers) <= i:
+                a_powers.append(a_powers[-1] * a)
+            while len(b_powers) <= j:
+                b_powers.append(b_powers[-1] * b)
+            if i and j:
+                products[i, j] = a_powers[i] * b_powers[j]
+            else:
+                products[i, j] = a_powers[i] if i else b_powers[j]
+        return products[i, j]
+
+    def evaluate(trie) -> Poly:
+        total = ring.zero()
+        for (i, j), child in trie:
+            value = child if isinstance(child, int) else evaluate(child).frobenius_power()
+            total = total + (value * power(i, j) if i or j else value)
+        return total
+
+    return tuple(evaluate(trie) for trie in _carry_table(p, n))
+
+
+def _scalar_carry(p: int, n: int, c: int, d: int) -> tuple[int, ...]:
+    """tau(c, d) for constants c, d in F_p, read off W_n(F_p) = Z/p^n, where
+    (e_0, e_1, ...) is sum_k p^k T(e_k) and T(e) = e^{p^{n-1}} mod p^n is
+    the Teichmuller lift."""
+    modulus = p**n
+
+    def teichmuller(e: int) -> int:
+        return pow(e, p ** (n - 1), modulus)
+
+    value = teichmuller(c) + teichmuller(d)
+    coords = []
+    for _ in range(n):
+        e = value % p
+        coords.append(e)
+        value = (value - teichmuller(e)) // p
+    return tuple(coords[1:])
+
+
+@functools.cache
+def _carry_table(p: int, n: int) -> tuple:
+    """Digit tries of tau_0, ..., tau_{n-2}, where [X] + [Y] = [X+Y] + V(tau)
+    in W_n(F_p[X, Y]); built through the ghost route."""
+    ring = PolyRing(p, ("X", "Y"))
+    x, y = (WittVector.teichmuller(ring.gen(name), n).ghost() for name in ring.variables)
+    total = WittVector.from_ghost(ring, [a + b for a, b in zip(x, y)])
+    return tuple(_digit_trie(c.term_map(), p) for c in total.components[1:])
+
+
+def _digit_trie(terms: dict[tuple[int, int], int], p: int) -> tuple:
+    """sum c X^i Y^j as ((i_0, j_0), child) pairs, one per class of base-p
+    last digits: the polynomial is sum X^{i_0} Y^{j_0} F(Q_{i_0 j_0}) with
+    Q_{i_0 j_0} = sum c X^{i // p} Y^{j // p} over the class, and child is
+    Q's constant when Q is one, its own trie otherwise."""
+    classes: dict[tuple[int, int], dict] = {}
+    for (i, j), c in terms.items():
+        classes.setdefault((i % p, j % p), {})[i // p, j // p] = c
+    return tuple(
+        (digits, q[0, 0] if list(q) == [(0, 0)] else _digit_trie(q, p))
+        for digits, q in sorted(classes.items())
+    )
 
 
 def delta_carry(f: Poly) -> Poly:

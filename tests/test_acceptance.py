@@ -99,6 +99,9 @@ def test_criterion_03_witt_ring_laws_vs_ghost():
             assert (u * v) * w == u * (v * w)
             assert u * v == v * u
             assert u * (v + w) == u * v + u * w
+            gu, gv = u.ghost(), v.ghost()
+            assert u + v == WittVector.from_ghost(ring, [a + b for a, b in zip(gu, gv)])
+            assert u * v == WittVector.from_ghost(ring, [a * b for a, b in zip(gu, gv)])
             vf = u.frobenius().verschiebung()
             assert vf == WittVector.p_element(ring, n + 1) * u.extend(1)
             a = random_poly(rng, ring, max_terms=2, max_exp=2)
