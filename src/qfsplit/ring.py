@@ -7,25 +7,17 @@ integers exactly and serves as the lift ring for ghost components and
 carry polynomials.  Canonical term order is graded lexicographic
 (ascending total degree, x-heavy terms first within a degree), fixed so
 that rendering and serialization are deterministic.
-
-A product over F_p of two factors that are large and dense in their
-bounding box is one big-integer product (Kronecker substitution, see
-``Poly._mul_packed``); every other product runs the term-pair loop.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-import sys
-from array import array
 from typing import Iterable, Iterator, Mapping
 
 MAX_EXPONENT_DEFAULT = 2**31 - 1
 _EXPONENT_LIMIT = 2**63 - 1
 _PRIME_LIMIT = 2**16
-# Both factors need more terms than this before a product is packed.
-_PACKED_MIN_TERMS = 16
 
 
 class RingMismatchError(ValueError):
@@ -269,10 +261,6 @@ class Poly:
                     out[exps] = v
             return Poly(self.ring, out, _internal=True)
         self._check_ring(other)
-        if len(self._terms) > _PACKED_MIN_TERMS < len(other._terms):
-            packed = self._mul_packed(other)
-            if packed is not None:
-                return packed
         out = self._accumulate(zip(self._terms.items(), itertools.repeat(other._terms.items())))
         for exps in out:
             if any(e > _EXPONENT_LIMIT for e in exps):
@@ -280,62 +268,6 @@ class Poly:
         return Poly(self.ring, out, _internal=True)
 
     __rmul__ = __mul__
-
-    def _mul_packed(self, other: "Poly") -> "Poly | None":
-        """The product by Kronecker substitution over F_p, or None when the
-        pair loop is cheaper.
-
-        Exponent vectors inside the product's bounding box are numbered in
-        mixed radix, each polynomial becomes one integer with a fixed-width
-        slot per monomial, and a single big-integer product replaces the
-        pair loop; no slot carries, because a slot sums at most
-        min(len) products below p^2.  ``__mul__`` tries it when both factors
-        have more than _PACKED_MIN_TERMS terms; it packs when the term pairs
-        outnumber the box's slots at least twice, so the box stays smaller
-        than the pair count.
-        """
-        a, b = self._terms, other._terms
-        p = self.ring.char
-        if not p:
-            return None
-        dims = [max(e[i] for e in a) + max(e[i] for e in b) + 1 for i in range(self.ring.nvars)]
-        slots = 1
-        for d in dims:
-            slots *= d
-        if 2 * slots > len(a) * len(b):
-            return None
-        bound = min(len(a), len(b)) * (p - 1) ** 2
-        code = next((c for c in "BHIQ" if bound < 256 ** array(c).itemsize), None)
-        if code is None:
-            return None
-        size = array(code).itemsize
-
-        def pack(terms) -> int:
-            slot = array(code, bytes(slots * size))
-            for exps, c in terms.items():
-                index = 0
-                for e, d in zip(exps, dims):
-                    index = index * d + e
-                slot[index] = c
-            if sys.byteorder == "big":
-                slot.byteswap()
-            return int.from_bytes(slot.tobytes(), "little")
-
-        slot = array(code)
-        slot.frombytes((pack(a) * pack(b)).to_bytes(slots * size, "little"))
-        if sys.byteorder == "big":
-            slot.byteswap()
-        out = {}
-        reversed_dims = dims[::-1]
-        for index, c in enumerate(slot):
-            c %= p
-            if c:
-                exps = []
-                for d in reversed_dims:
-                    index, e = divmod(index, d)
-                    exps.append(e)
-                out[tuple(exps[::-1])] = c
-        return Poly(self.ring, out, _internal=True)
 
     def _accumulate(self, rows) -> dict[tuple[int, ...], int]:
         """The pair loop of a product: sum c1*c2 at e1+e2 over every

@@ -17,9 +17,10 @@ tau is built once per (p, n), on first use, through the ghost route on
 F_p[X, Y], and kept as base-p digit tries (see ``_digit_trie``): its
 coordinate tau_k is homogeneous of degree p^{k+1}, and
 a^i b^j = a^{i_0} b^{j_0} * F(a^{i'} b^{j'}) for i = i_0 + p i',
-j = j_0 + p j', so every power of p or more is an exponent scaling.  The
-carry of two constants is read off W_n(F_p) = Z/p^n instead, so constant
-operands never need a table.
+j = j_0 + p j', so every power of p or more is an exponent scaling.  When
+b = r*a for a constant r (such as two constants, or two multiples of one
+monomial), homogeneity gives tau_k(a, b) = tau_k(1, r) * a^{p^{k+1}}, with
+tau(1, r) read off W_n(F_p) = Z/p^n, so such heads never need a table.
 
 The ghost route stays as the reference the tests compare against and as
 the builder of tau: lift each coordinate to its representative in [0, p),
@@ -245,16 +246,25 @@ def _product(ring: PolyRing, a: Coords, b: Coords) -> Coords:
     return (head,) + _sum(ring, n - 1, parts)
 
 
-def _is_constant(f: Poly) -> bool:
-    return len(f) == 1 and f.total_degree() == 0
+def _ratio(a: Poly, b: Poly) -> int | None:
+    """r in F_p with b = r*a, or None when b is no constant multiple of a."""
+    ta, tb = a.term_map(), b.term_map()
+    if ta.keys() != tb.keys():
+        return None
+    p = a.ring.char
+    e = next(iter(ta))
+    r = tb[e] * pow(ta[e], -1, p) % p
+    return r if all(tb[k] == r * c % p for k, c in ta.items()) else None
 
 
 def _carry(a: Poly, b: Poly, n: int) -> Coords:
     """tau(a, b) in W_{n-1}: [a] + [b] = [a+b] + V(tau(a, b)) in W_n."""
     ring = a.ring
     p = ring.char
-    if _is_constant(a) and _is_constant(b):
-        return tuple(ring.constant(c) for c in _scalar_carry(p, n, a.constant_term(), b.constant_term()))
+    r = _ratio(a, b)
+    if r is not None:
+        # tau_k is homogeneous of degree p^{k+1}: tau_k(a, r a) = tau_k(1, r) a^{p^{k+1}}
+        return tuple(c * a.frobenius_power(k + 1) for k, c in enumerate(_scalar_carry(p, n, r)))
     a_powers, b_powers = [ring.one(), a], [ring.one(), b]
     products: dict[tuple[int, int], Poly] = {}
 
@@ -281,8 +291,8 @@ def _carry(a: Poly, b: Poly, n: int) -> Coords:
     return tuple(evaluate(trie) for trie in _carry_table(p, n))
 
 
-def _scalar_carry(p: int, n: int, c: int, d: int) -> tuple[int, ...]:
-    """tau(c, d) for constants c, d in F_p, read off W_n(F_p) = Z/p^n, where
+def _scalar_carry(p: int, n: int, r: int) -> tuple[int, ...]:
+    """tau(1, r) for r in F_p, read off W_n(F_p) = Z/p^n, where
     (e_0, e_1, ...) is sum_k p^k T(e_k) and T(e) = e^{p^{n-1}} mod p^n is
     the Teichmuller lift."""
     modulus = p**n
@@ -290,7 +300,7 @@ def _scalar_carry(p: int, n: int, c: int, d: int) -> tuple[int, ...]:
     def teichmuller(e: int) -> int:
         return pow(e, p ** (n - 1), modulus)
 
-    value = teichmuller(c) + teichmuller(d)
+    value = 1 + teichmuller(r)
     coords = []
     for _ in range(n):
         e = value % p

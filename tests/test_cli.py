@@ -13,6 +13,8 @@ from qfsplit.report import (
     run_entry,
     summarize,
 )
+from qfsplit.ring import PolyRing
+from qfsplit.witt import WittVector
 
 BUNDLED = "src/qfsplit/data/catalog.jsonl"
 
@@ -166,6 +168,51 @@ class TestWittCommands:
             assert code == 0
             assert out == result + "\n"
         assert time.perf_counter() - start < 1.0
+
+    def test_multiples_of_one_monomial_at_the_length_cap(self, capsys):
+        # outputs pinned from the ghost-component implementation; heads that
+        # are multiples of one monomial m carry tau(1, r) * m^{p^{k+1}} and
+        # must not build a length-8 carry table
+        expected = {
+            ("2", "add", "[x]", "[x]"): "(0; x^2; 0; 0; 0; 0; 0; 0)",
+            ("2", "mul", "[x]", "[x]"): "(x^2; 0; 0; 0; 0; 0; 0; 0)",
+            ("3", "add", "[x]", "[x]"): "(2*x; x^3; 0; 0; 0; 0; 0; 0)",
+            ("5", "add", "[x]", "[x]"): "(2*x; 4*x^5; 3*x^25; 0; 4*x^625; 2*x^3125; 4*x^15625; 4*x^78125)",
+            ("5", "mul", "[x]", "[x]"): "(x^2; 0; 0; 0; 0; 0; 0; 0)",
+            ("7", "add", "[x]", "[x]"): (
+                "(2*x; 3*x^7; 3*x^49; 6*x^343; 3*x^2401; 3*x^16807; x^117649; 6*x^823543)"
+            ),
+            ("5", "add", "[2*x*y]", "[x*y]"): (
+                "(3*x*y; 3*x^5*y^5; x^25*y^25; 0; 3*x^625*y^625; 4*x^3125*y^3125; "
+                "3*x^15625*y^15625; 3*x^78125*y^78125)"
+            ),
+            ("7", "add", "[3*x^2]", "[x^2]"): (
+                "(4*x^2; 2*x^14; 2*x^98; 4*x^686; 2*x^4802; 2*x^33614; 3*x^235298; 4*x^1647086)"
+            ),
+        }
+        start = time.perf_counter()
+        for (p, op, u, v), result in expected.items():
+            code, out, _ = run_cli(capsys, "witt", op, "--p", p, "--n", "8", u, v)
+            assert code == 0
+            assert out == result + "\n"
+        assert time.perf_counter() - start < 1.0
+
+    def test_monomial_head_meets_constant_carry(self, capsys):
+        # (x; 1; 0; ...) + (2x; 0; ...) = [x]*3 + p: the level-1 heads 1 and
+        # c*x^5 are not proportional, so the sum needs the carry table for
+        # (5, n-1); it must equal the ghost route.  At n = 8 neither this
+        # route nor the ghost route answers within minutes.
+        n = 5
+        ring = PolyRing(5, ("x",))
+        x = ring.gen("x")
+        u = WittVector(ring, [x, ring.one()] + [ring.zero()] * (n - 2))
+        v = WittVector(ring, [2 * x] + [ring.zero()] * (n - 1))
+        ghost = [a + b for a, b in zip(u.ghost(), v.ghost())]
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "witt", "add", "--p", "5", u.render(), v.render())
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert out == WittVector.from_ghost(ring, ghost).render() + "\n"
 
     def test_length_mismatch_rejected(self, capsys):
         code, _, err = run_cli(capsys, "witt", "add", "--p", "2", "(x; 1)", "(y; 1; 0)")

@@ -75,30 +75,3 @@ def test_pow_trunc_over_the_integers():
     for e in (0, 1, 4, 7):
         for q in (1, 3, 6):
             assert f.pow_trunc(e, q) == (f**e).truncate(q)
-
-
-@st.composite
-def dense_pairs(draw):
-    """Two polynomials over F_p in one or two variables with 17 to 30 terms
-    each, in a box small enough that their product is packed; p = 65521
-    needs the widest slot."""
-    p = draw(st.sampled_from(PRIMES + [65521]))
-    nvars = draw(st.integers(1, 2))
-    ring = PolyRing(p, ("x", "y")[:nvars])
-    side = 40 if nvars == 1 else 6
-    exps = st.tuples(*[st.integers(0, side - 1)] * nvars)
-    poly = st.dictionaries(exps, st.integers(1, p - 1), min_size=17, max_size=30)
-    return ring.from_terms(draw(poly)), ring.from_terms(draw(poly))
-
-
-@settings(deadline=None, max_examples=60)
-@given(dense_pairs())
-def test_packed_product_is_the_term_pair_product(case):
-    a, b = case
-    expected: dict = {}
-    for ea, ca in a.terms():
-        for eb, cb in b.terms():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            expected[e] = expected.get(e, 0) + ca * cb
-    assert a._mul_packed(b) is not None
-    assert a * b == a.ring.from_terms(expected)

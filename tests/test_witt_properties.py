@@ -54,3 +54,20 @@ def test_operations_equal_the_ghost_route(case):
     assert u - v == via_ghost(operator.sub, u, v)
     assert u * v == via_ghost(operator.mul, u, v)
     assert -u == via_ghost(operator.neg, u)
+
+
+@st.composite
+def proportional_pairs(draw):
+    """(u, v) as in vector_pairs, with v's leading coordinate r times u's:
+    the sum's carry then comes from tau(1, r) by homogeneity."""
+    u, v = draw(vector_pairs())
+    r = draw(st.integers(1, u.ring.char - 1))
+    return u, WittVector(u.ring, (r * u.components[0],) + v.components[1:])
+
+
+@settings(deadline=None, max_examples=100)
+@given(proportional_pairs())
+def test_sums_with_proportional_heads_equal_the_ghost_route(case):
+    u, v = case
+    assert u + v == via_ghost(operator.add, u, v)
+    assert u - v == via_ghost(operator.sub, u, v)
