@@ -254,12 +254,27 @@ def witt_carry_class(cover: DoubleCover) -> H2Class:
     delta(P) has u >= p^2 and every term of delta(N - P) has v >= p^2, so
     both die in the normal form.  The class is therefore nf(delta(N)),
     whichever way N is split.
+
+    It is read off the (p^2, p^2) box.  N has a single z-degree eps:
+    N = z * (-g)^{(p-1)/2} for odd p and N = g for p = 2, so N = z^eps * h
+    with h in F_p[x, y].  delta(m * h) = m^p * delta(h) for a monomial m
+    with coefficient 1, so delta(N) = z^{p eps} * delta(h), and
+    z^{p eps} reduces to N^eps = z^eps * h^eps.  The normal form keeps the
+    terms c x^u y^v of h^eps * delta(h) with u, v < p^2, as
+    c z^eps/(x^{p^2-u} y^{p^2-v}); (x^{p^2}, y^{p^2}) is an ideal, so the
+    product and delta(h) are both computed modulo it.
     """
     p = cover.p
+    q = p * p
     if not frobenius_h2(socle(cover), cover).is_zero():
         raise SocleSurvivesError("F(socle) != 0; the cover is F-split at the socle")
-    carry = witt.delta_carry(cover.frobenius_numerator())
-    return normal_form(carry, (p * p, p * p), cover)
+    numerator = cover.frobenius_numerator().term_map()
+    (eps,) = {w for _, _, w in numerator}
+    h = cover.ring_xy.from_terms({(u, v): c for (u, v, _), c in numerator.items()})
+    carry = witt.delta_carry(h, q)
+    if eps:
+        carry = h.mul_trunc(carry, q)
+    return H2Class(p, {(eps, q - u, q - v): c for (u, v), c in carry.term_map().items()})
 
 
 @dataclass(frozen=True)

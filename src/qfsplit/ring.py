@@ -271,18 +271,20 @@ class Poly:
 
     def _accumulate(self, rows) -> dict[tuple[int, ...], int]:
         """The pair loop of a product: sum c1*c2 at e1+e2 over every
-        ((e1, c1), partners) row and every (e2, c2) of its partners."""
-        norm = self.ring._normalize
+        ((e1, c1), partners) row and every (e2, c2) of its partners.  The
+        raw integer sums are reduced mod p once per output term, and the
+        terms that cancel are dropped then."""
         out: dict[tuple[int, ...], int] = {}
+        get = out.get
+        add = operator.add
         for (e1, c1), partners in rows:
             for e2, c2 in partners:
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                s = norm(out.get(exps, 0) + c1 * c2)
-                if s:
-                    out[exps] = s
-                elif exps in out:
-                    del out[exps]
-        return out
+                exps = tuple(map(add, e1, e2))
+                out[exps] = get(exps, 0) + c1 * c2
+        p = self.ring.char
+        if p:
+            return {exps: r for exps, c in out.items() if (r := c % p)}
+        return {exps: c for exps, c in out.items() if c}
 
     def truncate(self, q: int) -> "Poly":
         """The terms with every exponent below q: the normal form of self
@@ -372,11 +374,16 @@ class Poly:
     def pow_trunc(self, e: int, q: int) -> "Poly":
         """(self ** e).truncate(q).  Each digit power f^{d_k} is computed
         with exponents below ceil(q / p^k) before it is scaled by p^k: a
-        larger exponent scales to one of at least q."""
+        larger exponent scales to one of at least q.  The digits go from
+        the most significant down, whose factors are the cheapest (their
+        bound is the smallest), and the first zero partial product ends the
+        loop without computing the lower digits' factors."""
         if e < 0:
             raise ValueError("negative exponent")
         result = self.ring.one().truncate(q)
-        for d, scale in self._digits(e):
+        for d, scale in reversed(list(self._digits(e))):
+            if not result:
+                break
             bound = -(-q // scale)
             factor = self._pow_binary(d, lambda a, b: a.mul_trunc(b, bound))
             result = result.mul_trunc(factor.scale_exponents(scale), q)

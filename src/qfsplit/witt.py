@@ -333,7 +333,7 @@ def _digit_trie(terms: dict[tuple[int, int], int], p: int) -> tuple:
     )
 
 
-def delta_carry(f: Poly) -> Poly:
+def delta_carry(f: Poly, q: int | None = None) -> Poly:
     """Carry polynomial of f = sum a_I x^I over F_p:
 
         (1/p) * ((sum a_I x^I)^p - sum (a_I x^I)^p)
@@ -342,6 +342,14 @@ def delta_carry(f: Poly) -> Poly:
     representative in [0, p), then reduced mod p.  It is the defect of
     Teichmuller additivity: [f] = f([x_1], ..., [x_n]) + V(delta_carry(f))
     in W_2.
+
+    With a bound q the result is delta(f) modulo m^[q] = (x_1^q, ..., x_n^q),
+    i.e. delta(f).truncate(q): the lift's p-th power is taken in the
+    quotient by m^[q] over Z (``pow_trunc``), and only the term powers
+    (a_I x^I)^p with every exponent of pI below q are subtracted.  Both
+    steps commute with truncation, and so does the exact division by p,
+    because m^[q] is a monomial ideal.  Without q the result is the full
+    delta(f).
     """
     ring = f.ring
     p = ring.char
@@ -349,12 +357,13 @@ def delta_carry(f: Poly) -> Poly:
         raise ValueError("delta_carry needs prime characteristic")
     lift_ring = ring.lift_ring()
     lifted = f.lift_integers(lift_ring)
-    term_power_sum = lift_ring.zero()
-    for exps, c in lifted.term_map().items():
-        term_power_sum = term_power_sum + lift_ring.from_terms(
-            {tuple(e * p for e in exps): c**p}
-        )
-    carry = (lifted**p - term_power_sum).divide_exact(p)
+    power = lifted**p if q is None else lifted.pow_trunc(p, q)
+    term_powers = {
+        tuple(e * p for e in exps): c**p
+        for exps, c in lifted.term_map().items()
+        if q is None or max(exps, default=0) * p < q
+    }
+    carry = (power - lift_ring.from_terms(term_powers)).divide_exact(p)
     return carry.reduce_mod(ring)
 
 

@@ -30,3 +30,14 @@ def random_witt(rng, ring: PolyRing, n: int, max_terms: int = 2, max_exp: int = 
     return WittVector(
         ring, [random_poly(rng, ring, max_terms, max_exp) for _ in range(n)]
     )
+
+
+def expected_frobenius_numerator(cover) -> Poly:
+    """nf(z^p) of a double cover z^2 + g by the closed formula: z^p =
+    z * (z^2)^{(p-1)/2} = z * (-g)^{(p-1)/2} for odd p, and z^2 = -g = g
+    for p = 2."""
+    ring = cover.ring_xyz
+    g = ring.from_terms({(u, v, 0): c for (u, v), c in cover.g.term_map().items()})
+    if cover.p == 2:
+        return g
+    return ring.gen("z") * (-g) ** ((cover.p - 1) // 2)

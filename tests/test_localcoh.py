@@ -21,6 +21,9 @@ from qfsplit.localcoh import (
 from qfsplit.ring import PolyRing
 from qfsplit.witt import WittVector, delta_carry
 
+from conftest import expected_frobenius_numerator
+from test_oracle import CORPUS
+
 
 @pytest.fixture
 def e6_p3():
@@ -114,12 +117,15 @@ def test_cached_frobenius_images_match_definition(p, g):
                 assert image == normal_form(z ** (p * eps), (p * i, p * j), cover)
 
 
-@pytest.mark.parametrize("p,g", COVERS)
+@pytest.mark.parametrize("p,g", dict.fromkeys(COVERS + [(p, g) for _, p, g in CORPUS]))
 def test_frobenius_numerator_is_reduced_z_p_computed_once(p, g):
     cover = DoubleCover(p, PolyRing(p, ("x", "y")).parse(g))
     numerator = cover.frobenius_numerator()
     assert numerator == reduce_modulo_cover(cover.ring_xyz.gen("z") ** p, cover)
     assert cover.frobenius_numerator() is numerator
+    # witt_carry_class reads nf(z^p) as z^eps * h with a single eps
+    assert {w for _, _, w in numerator.term_map()} == {0 if p == 2 else 1}
+    assert numerator == expected_frobenius_numerator(cover)
 
 
 class TestSocle:

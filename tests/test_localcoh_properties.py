@@ -1,6 +1,7 @@
 """Property tests: the incremental isolated-singularity check against a
-fresh solve for every degree, and the Witt carry class against the direct
-integer formula."""
+fresh solve for every degree, the Witt carry class against the direct
+integer formula and against nf(delta(nf(z^p))), and the single z-degree of
+nf(z^p) that the carry class reads."""
 
 import pytest
 
@@ -20,6 +21,9 @@ from qfsplit.localcoh import (  # noqa: E402
     witt_carry_class,
 )
 from qfsplit.ring import PolyRing  # noqa: E402
+from qfsplit.witt import delta_carry  # noqa: E402
+
+from conftest import expected_frobenius_numerator  # noqa: E402
 
 
 def _pure_power_in_ideal(target, gens, degree_cap):
@@ -108,8 +112,26 @@ def reference_carry(cover, splitting):
 @example(cover(7, "x^4 + y^4"))
 @example(cover(2, "x^2*y + y^4"))
 def test_carry_class_matches_direct_formula(cover):
-    # the one carry class equals the addition defect of either split
+    # the one carry class equals the addition defect of either split, and
+    # the normal form of the full delta of the reduced z^p numerator
     assume(frobenius_h2(socle(cover), cover).is_zero())
     carry = witt_carry_class(cover)
     for splitting in ("x-first", "y-first"):
         assert carry == reference_carry(cover, splitting)
+    assert carry == normal_form_of_full_delta(cover)
+
+
+def normal_form_of_full_delta(cover):
+    """nf(delta(N)) over (x^{p^2}, y^{p^2}) for N = nf(z^p), with delta
+    taken in full and N reduced from scratch."""
+    p = cover.p
+    numerator = reduce_modulo_cover(cover.ring_xyz.gen("z") ** p, cover)
+    return normal_form(delta_carry(numerator), (p * p, p * p), cover)
+
+
+@settings(deadline=None, max_examples=60)
+@given(covers())
+def test_frobenius_numerator_has_one_z_degree(cover):
+    numerator = cover.frobenius_numerator()
+    assert {w for _, _, w in numerator.term_map()} == {0 if cover.p == 2 else 1}
+    assert numerator == expected_frobenius_numerator(cover)

@@ -1,5 +1,7 @@
-"""Property tests for arithmetic in the quotient by (x_1^q, ..., x_n^q):
-truncated products and powers must equal the truncated full results."""
+"""Property tests for products: the pair loop behind ``*`` against a
+term-by-term reference over F_p and over Z, and arithmetic in the quotient
+by (x_1^q, ..., x_n^q), where truncated products and powers must equal the
+truncated full results."""
 
 import pytest
 
@@ -24,6 +26,60 @@ def operands(draw, count, max_exp):
     polys = [ring.from_terms(dict(draw(st.lists(term, max_size=4)))) for _ in range(count)]
     q = draw(st.one_of(st.sampled_from([p, p * p]), st.integers(1, 3 * p)))
     return ring, polys, q
+
+
+def term_pair_product(a, b):
+    """a * b as a sum of one single-term polynomial per pair of terms."""
+    ring = a.ring
+    result = ring.zero()
+    for e1, c1 in a.terms():
+        for e2, c2 in b.terms():
+            result = result + ring.from_terms({tuple(x + y for x, y in zip(e1, e2)): c1 * c2})
+    return result
+
+
+def assert_is_the_term_pair_product(a, b):
+    product = a * b
+    assert product == term_pair_product(a, b)
+    p = a.ring.char
+    for c in product.term_map().values():
+        assert (0 < c < p) if p else c != 0
+
+
+@st.composite
+def integer_operands(draw):
+    """Two polynomials over Z in 1-3 variables, each with at most 5 terms of
+    exponent at most 2 and coefficients in [-4, 4], so pairs collide and
+    cancel often."""
+    ring = PolyRing(0, ("x", "y", "z")[: draw(st.integers(1, 3))])
+    exps = st.tuples(*[st.integers(0, 2) for _ in ring.variables])
+    term = st.tuples(exps, st.integers(-4, 4))
+    return [ring.from_terms(dict(draw(st.lists(term, max_size=5)))) for _ in range(2)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(operands(2, lambda p: 2))
+def test_product_is_the_term_pair_product(case):
+    _, (a, b), _ = case
+    assert_is_the_term_pair_product(a, b)
+
+
+@settings(deadline=None, max_examples=150)
+@given(integer_operands())
+def test_integer_product_is_the_term_pair_product(case):
+    assert_is_the_term_pair_product(*case)
+
+
+@pytest.mark.parametrize("p", PRIMES + [0])
+def test_cancelled_terms_are_not_stored(p):
+    # (x + y)(x + (p-1)y) = x^2 - y^2: the two xy pairs sum to p*xy
+    ring = PolyRing(p, ("x", "y"))
+    a = ring.parse("x + y")
+    b = ring.parse("x - y") if p == 0 else ring.parse(f"x + {p - 1}*y")
+    product = a * b
+    assert product.term_map() == {(2, 0): 1, (0, 2): p - 1 if p else -1}
+    assert_is_the_term_pair_product(a, b)
+    assert (a * ring.zero()).term_map() == {}
 
 
 @settings(deadline=None)

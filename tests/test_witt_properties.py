@@ -1,5 +1,6 @@
 """Property tests for Witt arithmetic over F_p: every sum, difference,
-product and negative equals the ghost route's answer."""
+product and negative equals the ghost route's answer, and the carry
+polynomial delta computed modulo m^[q] equals the full one truncated."""
 
 import operator
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from qfsplit.ring import PolyRing  # noqa: E402
-from qfsplit.witt import WittVector  # noqa: E402
+from qfsplit.witt import WittVector, delta_carry  # noqa: E402
 
 
 def coordinate_shape(p: int, n: int) -> tuple[list[tuple[int, int]], int]:
@@ -71,3 +72,21 @@ def test_sums_with_proportional_heads_equal_the_ghost_route(case):
     u, v = case
     assert u + v == via_ghost(operator.add, u, v)
     assert u - v == via_ghost(operator.sub, u, v)
+
+
+@st.composite
+def bounded_deltas(draw):
+    """(f, q): f over F_p in 1-3 variables with at most 4 terms of exponent
+    up to p + 1, so term powers land on both sides of every bound q."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    ring = PolyRing(p, ("x", "y", "z")[: draw(st.integers(1, 3))])
+    exps = st.tuples(*[st.integers(0, p + 1) for _ in ring.variables])
+    f = ring.from_terms(dict(draw(st.lists(st.tuples(exps, st.integers(1, p - 1)), max_size=4))))
+    return f, draw(st.sampled_from([p, 2 * p + 1, p * p, p * p + 1]))
+
+
+@settings(deadline=None, max_examples=150)
+@given(bounded_deltas())
+def test_bounded_delta_is_the_truncated_delta(case):
+    f, q = case
+    assert delta_carry(f, q) == delta_carry(f).truncate(q)
