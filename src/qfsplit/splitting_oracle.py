@@ -15,9 +15,12 @@ Frobenius-image code paths:
   oracle reduces z^p itself once per call and builds every such row, and
   the socle numerator, by re-keying a shift of that one normal form.  The
   delta twist of a numerator shifted by a monomial m is m^p times that of
-  nf(z^p), so one delta per call serves both levels, and both levels
-  reduce against one K_2 basis: the deeper level only adds the rows of its
-  larger box.
+  nf(z^p), so one delta per call serves both levels.  Each level builds
+  only the K_2 rows of its box that are joined to the twist's support by
+  chains of rows sharing a key (the twist's raw-row component), found by
+  reverse lookup from the keys; the box's row space is the direct sum of
+  its components' row spaces, so that basis reduces the twist and every
+  column that can meet it exactly as the whole box would.
 
 * `splitting_search` looks for the splitting itself: a graded module
   homomorphism alpha: Q -> R with alpha(Phi(1)) = 1, solved for on the
@@ -61,43 +64,58 @@ def _shift(terms: dict, du: int, dv: int) -> dict:
     return {(u + du, v + dv, w): c for (u, v, w), c in terms.items()}
 
 
+def _k2_row(p: int, zp: dict, u: int, v: int, eps: int) -> dict:
+    """The row nf(m^p) of m = x^u y^v z^eps: the single key (pu, pv, 0), or
+    the oracle's nf(z^p) (the term map zp) re-keyed by the shift (pu, pv)."""
+    return _shift(zp, p * u, p * v) if eps else {(p * u, p * v, 0): 1}
+
+
 def _k2_reducer(p: int, zp: dict, monomials) -> GaussianBasis:
     """Row space of the p-th powers nf(m^p), m = x^u y^v z^eps for each
     (u, v, eps) in monomials, on monomial keys (u, v, z-exp).
 
-    nf(m^p) = x^{pu} y^{pv} nf(z^p)^eps, so each row is the single key
-    (pu, pv, 0) or the oracle's nf(z^p) (the term map zp) re-keyed by the
-    shift (pu, pv); no polynomial is multiplied.
+    nf(m^p) = x^{pu} y^{pv} nf(z^p)^eps, so each row is a ``_k2_row``; no
+    polynomial is multiplied.
     """
-    return _add_k2_rows(GaussianBasis(p), zp, monomials)
-
-
-def _add_k2_rows(basis: GaussianBasis, zp: dict, monomials) -> GaussianBasis:
-    """Add the rows of ``_k2_reducer`` for each (u, v, eps) in monomials."""
-    p = basis.p
+    basis = GaussianBasis(p)
     for u, v, eps in monomials:
-        basis.add(_shift(zp, p * u, p * v) if eps else {(p * u, p * v, 0): 1})
+        basis.add(_k2_row(p, zp, u, v, eps))
     return basis
+
+
+def _k2_rows_holding(p: int, zp: dict, key: tuple, na: int, nb: int):
+    """The labels (u, v, eps), u < na and v < nb, of the ``_k2_row``s whose
+    support holds key = (x, y, w), found by reverse lookup: the monomial row
+    (x/p, y/p, 0) when w = 0 and p divides x and y, and for each term
+    (s, t, w) of zp the row ((x - s)/p, (y - t)/p, 1) when both quotients are
+    whole and >= 0."""
+    x, y, w = key
+    for (s, t, zw), eps in [((0, 0, 0), 0)] + [(term, 1) for term in zp]:
+        u, ru = divmod(x - s, p)
+        v, rv = divmod(y - t, p)
+        if zw == w and not ru and not rv and 0 <= u < na and 0 <= v < nb:
+            yield u, v, eps
 
 
 class _CechLevels:
     """One Cech oracle call: the oracle's nf(z^p) and nf(delta(nf(z^p))),
-    and one K_2 basis that each level grows to cover its box.
+    shared by both levels.
 
-    The basis holds the rows of the monomials x^a y^b z^w with a < na and
-    b < nb for (na, nb) = ``extent``; the box only grows with the level, so
-    a level adds just the rows outside the previous extent.
-    GaussianBasis.reduce returns the canonical remainder, which depends only
-    on the row space, so the grown basis reduces exactly as a fresh basis of
-    the same box would.
+    A level tests its delta twist only against the K_2 rows of its box's
+    raw-row component: the rows joined to the twist's support by chains of
+    rows that share a key, found by a walk with ``_k2_rows_holding``.  This
+    is exact.  The box's row space is the direct sum of the row spaces of
+    its raw components, so GaussianBasis.reduce (the canonical remainder)
+    reduces a vector inside one component against that component's rows
+    exactly as against the whole box; and the span test splits by
+    component, so the columns outside the twist's component could only
+    cancel among themselves and are dropped.
     """
 
     def __init__(self, cover: DoubleCover):
         self.cover = cover
         self.zp = _z_power_normal_form(cover)
         self.delta_zp = _delta_normal_form(cover, self.zp)
-        self.k2 = GaussianBasis(cover.p)
-        self.extent = (0, 0)
 
     def box(self, shift: int):
         """The level's delta twist nf(delta(numerator)) as a term map, the
@@ -117,6 +135,21 @@ class _CechLevels:
         box_y = max(k[1] for k in support) + buffer
         return support, box_x, box_y, ((box_x + buffer) // p + 1, (box_y + buffer) // p + 1)
 
+    def component(self, support: dict, na: int, nb: int) -> tuple[set, set]:
+        """The keys of the raw-row component of the support's keys among the
+        K_2 rows of monomials inside (na, nb), and the labels of its rows."""
+        p = self.cover.p
+        keys, labels = set(support), set()
+        frontier = list(keys)
+        while frontier:
+            for label in _k2_rows_holding(p, self.zp, frontier.pop(), na, nb):
+                if label not in labels:
+                    labels.add(label)
+                    fresh = _k2_row(p, self.zp, *label).keys() - keys
+                    keys |= fresh
+                    frontier.extend(fresh)
+        return keys, labels
+
     def vanishes(self, shift: int) -> bool:
         """Is (xy)^shift * Phi(socle-numerator) in x^L Q + y^L Q for L = 1 + shift?"""
         p = self.cover.p
@@ -131,62 +164,30 @@ class _CechLevels:
 
         # Slot 1: the delta twist of the numerator, modulo p-th powers, must
         # lie in the span of transported slot-1 monomials x^{p^2 L} m and
-        # y^{p^2 L} m.
+        # y^{p^2 L} m, for m in the slot ranges of the box.
         box = self.box(shift)
         if box is None:
             return True
         support, box_x, box_y, (na, nb) = box
-        old_na, old_nb = self.extent
-        new = [
-            (a, b, w)
-            for w in (0, 1)
-            for a in range(na)
-            for b in range(0 if a >= old_na else old_nb, nb)
-        ]
-        _add_k2_rows(self.k2, self.zp, new)
-        self.extent = (na, nb)
-        k2 = self.k2
-        slot_shift = p * p * level
+        component, labels = self.component(support, na, nb)
+        k2 = _k2_reducer(p, self.zp, sorted(labels))
         target = k2.reduce(support)
         if not target:
             return True
-
-        # K_2 reduction moves support only along row-support chains, so every
-        # column that can interact with the target starts inside the target's
-        # row-connected component; columns in other components could at most
-        # cancel among themselves and are dropped.
-        adjacency: dict = {}
-        for row in k2.rows.values():
-            keys = list(row)
-            for key in keys:
-                adjacency.setdefault(key, []).append(keys)
-        component = set(target)
-        frontier = list(target)
-        while frontier:
-            key = frontier.pop()
-            for keys in adjacency.get(key, ()):
-                for other in keys:
-                    if other not in component:
-                        component.add(other)
-                        frontier.append(other)
-
+        slot_shift = p * p * level
         columns = []
         seen_vectors = set()
-        for sx, sy in ((slot_shift, 0), (0, slot_shift)):
-            for w in (0, 1):
-                for a in range(max(0, box_x - sx) + 1):
-                    for b in range(max(0, box_y - sy) + 1):
-                        key = (sx + a, sy + b, w)
-                        if key not in component:
-                            continue
-                        vec = k2.reduce({key: 1})
-                        if not vec:
-                            continue
-                        stamp = frozenset(vec.items())
-                        if stamp in seen_vectors:
-                            continue
-                        seen_vectors.add(stamp)
-                        columns.append(vec)
+        for x, y, w in sorted(component):
+            if not any(
+                sx <= x <= max(sx, box_x) and sy <= y <= max(sy, box_y)
+                for sx, sy in ((slot_shift, 0), (0, slot_shift))
+            ):
+                continue
+            vec = k2.reduce({(x, y, w): 1})
+            stamp = frozenset(vec.items())
+            if vec and stamp not in seen_vectors:
+                seen_vectors.add(stamp)
+                columns.append(vec)
         coeffs, _ = solve(columns, target, p, witness=False)
         return coeffs is not None
 
@@ -198,7 +199,9 @@ def quasi2_cech_oracle(cover: DoubleCover) -> bool:
     an exhibited membership is a definitive vanishing certificate, so the
     cover is 2-quasi-F-split only if both levels refuse it.  At each level
     the columns range over a box that reaches p * (1 + deg g) beyond the
-    support of the delta twist.
+    support of the delta twist, restricted to the twist's raw-row component
+    of the box's K_2 rows; the answer is that of the whole box, because
+    both the reduction and the span test split by component.
     """
     p = cover.p
     base = p * p - p

@@ -1,14 +1,17 @@
 import pytest
 
-from qfsplit.linalg import GaussianBasis
+from qfsplit.linalg import GaussianBasis, solve
 from qfsplit.localcoh import DoubleCover, analyze, reduce_modulo_cover
 from qfsplit.ring import PolyRing
 from qfsplit.splitting_oracle import (
     NotQuasiHomogeneousError,
     _CechLevels,
     _k2_reducer,
+    _k2_row,
+    _k2_rows_holding,
     _module_moves,
     _monomials_of_weight_at_most,
+    _shift,
     _times_generator,
     _z_power_normal_form,
     quasi2_cech_oracle,
@@ -175,30 +178,125 @@ def test_move_table_matches_poly_products(name, p, text):
             assert move("1", b, index) == slot1
 
 
-# covers that pass the slot-0 test at both levels with a nonzero delta twist
-CECH_CASES = [("E6", 3, "x^3 + y^4"), ("E8", 5, "x^3 + y^5"), ("E12", 5, "x^3 + y^7")]
+# covers that pass the slot-0 test at both levels with a nonzero delta twist;
+# at p = 3 two terms of x^3 + y^6 + x^2 y^3 are congruent mod p, so chains of
+# K_2 rows reach past the rows that hold the twist's own keys
+CECH_CASES = [
+    ("E6", 3, "x^3 + y^4"),
+    ("E8", 5, "x^3 + y^5"),
+    ("E12", 5, "x^3 + y^7"),
+    ("x3+y6+x2y3", 3, "x^3 + y^6 + x^2*y^3"),
+]
 
 
-@pytest.mark.parametrize("name,p,text", CECH_CASES)
-def test_grown_cech_basis_reduces_like_a_fresh_one(name, p, text):
-    cover = make_cover(p, text)
-    base = p * p - p
-    levels = _CechLevels(cover)
-    for shift in (base, base + p):
-        levels.vanishes(shift)
-    support, box_x, box_y, (na, nb) = levels.box(base + p)
-    assert levels.extent == (na, nb)
-    monomials = [(a, b, w) for w in (0, 1) for a in range(na) for b in range(nb)]
-    fresh = _k2_reducer(p, levels.zp, monomials)
-    assert levels.k2.rank == fresh.rank
-    slot_shift = p * p * (1 + base + p)
-    keys = list(support) + [
+def slot_range_keys(p, shift, box_x, box_y):
+    """Every key of the two slot ranges of the level at ``shift``."""
+    slot_shift = p * p * (1 + shift)
+    return {
         (sx + a, sy + b, w)
         for sx, sy in ((slot_shift, 0), (0, slot_shift))
         for w in (0, 1)
         for a in range(max(0, box_x - sx) + 1)
         for b in range(max(0, box_y - sy) + 1)
-    ]
+    }
+
+
+def full_box_monomials(na, nb):
+    return [(a, b, w) for w in (0, 1) for a in range(na) for b in range(nb)]
+
+
+def full_box_reducer(levels, na, nb):
+    return _k2_reducer(levels.cover.p, levels.zp, full_box_monomials(na, nb))
+
+
+def scanned_component(levels, support, na, nb):
+    """The raw-row component of the support's keys by repeated scans of
+    every K_2 row of the box."""
+    p = levels.cover.p
+    rows = {m: _k2_row(p, levels.zp, *m) for m in full_box_monomials(na, nb)}
+    keys, labels = set(support), set()
+    while True:
+        touching = {m for m, row in rows.items() if not keys.isdisjoint(row)}
+        if touching == labels:
+            return keys, labels
+        labels = touching
+        keys |= {key for m in labels for key in rows[m]}
+
+
+@pytest.mark.parametrize("name,p,text", CECH_CASES)
+def test_component_basis_reduces_like_the_full_box(name, p, text):
+    levels = _CechLevels(make_cover(p, text))
+    base = p * p - p
+    for shift in (base, base + p):
+        support, box_x, box_y, (na, nb) = levels.box(shift)
+        component, labels = levels.component(support, na, nb)
+        assert (component, labels) == scanned_component(levels, support, na, nb)
+        local = _k2_reducer(p, levels.zp, sorted(labels))
+        fresh = full_box_reducer(levels, na, nb)
+        assert local.reduce(support) == fresh.reduce(support)
+        assert local.reduce(support)
+        keys = component & slot_range_keys(p, shift, box_x, box_y)
+        assert keys
+        for key in keys:
+            assert local.reduce({key: 1}) == fresh.reduce({key: 1})
+
+
+@pytest.mark.parametrize(
+    "p,text", [(2, "x*y"), (2, "x^3 + x*y^3"), (3, "x^3 + y^4"), (3, "x^2*y + y^3"), (5, "x^3 + y^5")]
+)
+def test_rows_holding_a_key_match_a_box_scan(p, text):
+    zp = _z_power_normal_form(make_cover(p, text))
+    na, nb = 4, 3
+    rows = {
+        (a, b, eps): _k2_row(p, zp, a, b, eps)
+        for eps in (0, 1)
+        for a in range(na)
+        for b in range(nb)
+    }
+    keys = {key for row in rows.values() for key in row}
+    keys |= {(x, y, w) for x in range(p * na + 4) for y in range(p * nb + 4) for w in (0, 1)}
     for key in keys:
-        assert levels.k2.reduce({key: 1}) == fresh.reduce({key: 1})
-    assert levels.k2.reduce(support) == fresh.reduce(support)
+        scanned = {label for label, row in rows.items() if key in row}
+        assert set(_k2_rows_holding(p, zp, key, na, nb)) == scanned
+
+
+def full_box_vanishes(levels, shift):
+    """``_CechLevels.vanishes`` against the K_2 rows of the whole box, with
+    every slot-range key as a column and no component filter."""
+    p = levels.cover.p
+    for u, v, _w in _shift(levels.zp, p * shift, p * shift):
+        if u < p * (1 + shift) and v < p * (1 + shift):
+            return False
+    support, box_x, box_y, (na, nb) = levels.box(shift)
+    k2 = full_box_reducer(levels, na, nb)
+    target = k2.reduce(support)
+    columns = [k2.reduce({key: 1}) for key in sorted(slot_range_keys(p, shift, box_x, box_y))]
+    coeffs, _ = solve([col for col in columns if col], target, p, witness=False)
+    return coeffs is not None
+
+
+@pytest.mark.parametrize("text,answers", [("x^3 + y^4", (False, False)), ("x^3 + y^7", (True, True))])
+def test_component_levels_answer_like_the_full_box(text, answers):
+    levels = _CechLevels(make_cover(3, text))
+    shifts = (6, 9)
+    assert tuple(full_box_vanishes(levels, shift) for shift in shifts) == answers
+    assert tuple(levels.vanishes(shift) for shift in shifts) == answers
+
+
+# the doublecover benchmark families at their primes; x^3 + y^6 + x^2 y^3 is
+# not quasi-homogeneous, so the engine answers it by bounded membership
+DOUBLECOVER_FAMILIES = [
+    ("x^4 + y^4", (3, 5, 7, 11, 13, 17, 19, 23)),
+    ("x^3 + y^6", (5, 7, 11, 13, 17, 19, 23)),
+    ("x^3 + x*y^4", (2, 3, 5, 7, 11)),
+    ("x^3 + y^7", (2, 3, 5, 7, 11)),
+    ("x^3 + y^6 + x^2*y^3", (2, 3, 5, 7)),
+]
+
+
+@pytest.mark.parametrize(
+    "text,p", [(text, p) for text, primes in DOUBLECOVER_FAMILIES for p in primes]
+)
+def test_cech_oracle_agrees_with_engine_on_doublecover_families(text, p):
+    cover = make_cover(p, text)
+    assert quasi2_cech_oracle(cover) == analyze(cover).verdict.quasi2
