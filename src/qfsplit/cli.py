@@ -3,7 +3,7 @@
 Exit codes: 0 = analyzed, 2 = input error; `witt identity` exits 1 when the
 verification fails (which would indicate an arithmetic bug, not bad input).
 `batch` writes one report per catalog line, in input order.  `witt add` and
-`witt mul` accept operands of length at most 8 (witt.DEFAULT_LENGTH_CAP).
+`witt mul` accept operands of length at most 8 (witt.LENGTH_CAP).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .report import (
     summarize,
 )
 from .ring import ExponentOverflowError, PolyParseError, PolyRing
-from .witt import WittVector, delta_carry, eval_at_teichmuller
+from .witt import WittVector, delta_carry, teichmuller_identity_sides
 
 
 class InputError(ValueError):
@@ -192,9 +192,7 @@ def _cmd_witt(args) -> int:
         print(delta_carry(f).render())
         return 0
     # identity: verify [f] = f([x]) + V(delta(f)) in W_2 and show both sides
-    lhs = WittVector.teichmuller(f, 2)
-    carry = delta_carry(f)
-    rhs = eval_at_teichmuller(f, 2) + WittVector(ring, [ring.zero(), carry])
+    lhs, rhs = teichmuller_identity_sides(f)
     status = "PASS" if lhs == rhs else "FAIL"
     print(f"[f]            = {lhs.render()}")
     print(f"f([x]) + V(d)  = {rhs.render()}")

@@ -88,13 +88,6 @@ class GaussianBasis:
         return _eliminate(self.rows, dict(vec), self.p, insert=False) is None
 
 
-def rank(vectors: Sequence[dict], p: int) -> int:
-    basis = GaussianBasis(p)
-    for v in vectors:
-        basis.add(v)
-    return basis.rank
-
-
 def _equations(indexed_columns, extra_keys=()) -> dict:
     """Equation key -> {column index: coefficient}, in the solver's row order,
     for (index, column) pairs in increasing index order."""
@@ -173,12 +166,6 @@ def solve(columns: Sequence[dict], rhs: dict, p: int, *, witness: bool = True):
                 return None, None
             return None, {keys[k - n - 1]: v for k, v in row.items() if k > n}
     return _back_substitute(rows, [0] * n, p), None
-
-
-def in_span(columns: Sequence[dict], rhs: dict, p: int) -> bool:
-    """Is rhs in the span of the columns?  A solve with ``witness=False``."""
-    coeffs, _ = solve(columns, rhs, p, witness=False)
-    return coeffs is not None
 
 
 def nullspace(columns: Sequence[dict], p: int) -> list[list[int]]:

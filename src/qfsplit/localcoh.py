@@ -40,8 +40,7 @@ class DoubleCover:
     def __init__(self, p: int, g: Poly):
         ring_xy = PolyRing(p, ("x", "y"))
         if g.ring != ring_xy:
-            if g.ring.char != p or g.ring.variables != ("x", "y"):
-                raise ValueError("g must live in GF(p)[x, y]")
+            raise ValueError("g must live in GF(p)[x, y]")
         if g.is_zero():
             raise ValueError("g must be nonzero")
         if g.constant_term():
@@ -50,18 +49,10 @@ class DoubleCover:
         self.g = g
         self.ring_xy = ring_xy
         self.ring_xyz = PolyRing(p, ("x", "y", "z"))
-        self.neg_g = -self._embed_xy(g)
-        self._frobenius_numerator = None
-
-    def _embed_xy(self, f: Poly) -> Poly:
-        return self.ring_xyz.from_terms(
-            {exps + (0,): c for exps, c in f.term_map().items()}
+        self.neg_g = -self.ring_xyz.from_terms(
+            {exps + (0,): c for exps, c in g.term_map().items()}
         )
-
-    def equation(self) -> Poly:
-        """z^2 + g as an element of GF(p)[x, y, z]."""
-        z = self.ring_xyz.gen("z")
-        return z * z + self._embed_xy(self.g)
+        self._frobenius_numerator = None
 
     def frobenius_numerator(self) -> Poly:
         """N = z^p reduced to z-degree <= 1, computed on first use and kept
@@ -232,16 +223,6 @@ def frobenius_h2(xi: H2Class, cover: DoubleCover) -> H2Class:
     return H2Class(p, out)
 
 
-def ring_multiply(m: Poly, xi: H2Class, cover: DoubleCover) -> H2Class:
-    """Multiply a class by a ring element (numerator action + normal form)."""
-    z = cover.ring_xyz.gen("z")
-    result = H2Class.zero(cover.p)
-    for (eps, i, j), c in xi.terms():
-        numerator = m * (z if eps else cover.ring_xyz.one())
-        result = result + normal_form(numerator, (i, j), cover).scale(c)
-    return result
-
-
 def witt_carry_class(cover: DoubleCover) -> H2Class:
     """The class eta with {[z]^p/[xy]^p} = V(eta) in W_2 local cohomology.
 
@@ -330,12 +311,6 @@ def frobenius_image_membership(eta: H2Class, cover: DoubleCover) -> MembershipRe
             }
             return MembershipResult(True, coeffs, None, bound, escalations)
     return MembershipResult(False, None, witness, bound, escalations)
-
-
-def in_frobenius_image(eta: H2Class, cover: DoubleCover) -> bool:
-    if eta.is_zero():
-        return True
-    return frobenius_image_membership(eta, cover).feasible
 
 
 def has_isolated_singularity(cover: DoubleCover) -> bool:

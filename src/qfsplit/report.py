@@ -51,14 +51,16 @@ class CatalogEntry:
             poly = data["poly"]
         except KeyError as exc:
             raise CatalogError(f"catalog entry missing field {exc.args[0]!r}") from None
-        tags = tuple(data.get("tags", ()))
+        tags = data.get("tags", [])
         if not isinstance(name, str) or not isinstance(poly, str):
             raise CatalogError("name and poly must be strings")
+        if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+            raise CatalogError("tags must be a list of strings")
         if not isinstance(p, int) or p < 2:
             raise CatalogError(f"invalid characteristic {p!r}")
         if kind not in _KINDS:
             raise CatalogError(f"kind must be one of {_KINDS}, got {kind!r}")
-        return cls(name=name, p=p, kind=kind, poly=poly, tags=tags)
+        return cls(name=name, p=p, kind=kind, poly=poly, tags=tuple(tags))
 
     def to_dict(self) -> dict:
         return {

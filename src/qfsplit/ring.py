@@ -15,7 +15,7 @@ import itertools
 import operator
 from typing import Iterable, Iterator, Mapping
 
-MAX_EXPONENT_DEFAULT = 2**31 - 1
+MAX_EXPONENT = 2**31 - 1  # largest exponent the parser accepts
 _EXPONENT_LIMIT = 2**63 - 1
 _PRIME_LIMIT = 2**16
 
@@ -25,7 +25,7 @@ class RingMismatchError(ValueError):
 
 
 class ExponentOverflowError(ValueError):
-    """An exponent exceeded the configured bound."""
+    """An exponent exceeded 2^63 - 1."""
 
 
 class PolyParseError(ValueError):
@@ -146,8 +146,8 @@ class PolyRing:
         """The char-0 ring with the same variables (for exact integer lifts)."""
         return PolyRing(0, self.variables)
 
-    def parse(self, text: str, max_exponent: int = MAX_EXPONENT_DEFAULT) -> "Poly":
-        return _Parser(self, text, max_exponent).parse()
+    def parse(self, text: str) -> "Poly":
+        return _Parser(self, text).parse()
 
 
 class Poly:
@@ -195,20 +195,6 @@ class Poly:
         if not self._terms:
             return -1
         return max(sum(e) for e in self._terms)
-
-    def degree_in(self, name: str) -> int:
-        if not self._terms:
-            return -1
-        i = self.ring.var_index(name)
-        return max(e[i] for e in self._terms)
-
-    def variables_used(self) -> tuple[str, ...]:
-        used = set()
-        for exps in self._terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used.add(i)
-        return tuple(self.ring.variables[i] for i in sorted(used))
 
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self._terms}
@@ -403,38 +389,6 @@ class Poly:
             out[new] = v
         return Poly(self.ring, out, _internal=True)
 
-    def substitute(self, values: Mapping[str, "Poly"]) -> "Poly":
-        """Ring homomorphism sending each variable to the given polynomial.
-
-        Every variable occurring in self must be covered; all values must
-        share one ring, which becomes the result ring.
-        """
-        used = self.variables_used()
-        missing = [v for v in used if v not in values]
-        if missing:
-            raise KeyError(f"substitution misses variables {missing}")
-        if values:
-            target = next(iter(values.values())).ring
-            for v in values.values():
-                if v.ring != target:
-                    raise RingMismatchError("substitution values in different rings")
-        else:
-            target = self.ring
-        power_cache: dict[tuple[str, int], Poly] = {}
-        result = target.zero()
-        for exps, c in self._terms.items():
-            term = target.constant(c)
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                name = self.ring.variables[i]
-                key = (name, e)
-                if key not in power_cache:
-                    power_cache[key] = values[name] ** e
-                term = term * power_cache[key]
-            result = result + term
-        return result
-
     def in_frobenius_power_ideal(self, level: int) -> bool:
         """Membership in the monomial ideal (x_1^{p^level}, ..., x_n^{p^level}).
 
@@ -450,14 +404,11 @@ class Poly:
 
     # -- ring changes ---------------------------------------------------
 
-    def lift_integers(self, lift_ring: PolyRing | None = None) -> "Poly":
+    def lift_integers(self) -> "Poly":
         """Exact integer lift using the representative of each coefficient in [0, p)."""
         if self.ring.char == 0:
             return self
-        target = lift_ring or self.ring.lift_ring()
-        if target.char != 0 or target.variables != self.ring.variables:
-            raise RingMismatchError("lift ring must be the char-0 twin")
-        return Poly(target, dict(self._terms), _internal=True)
+        return Poly(self.ring.lift_ring(), dict(self._terms), _internal=True)
 
     def reduce_mod(self, ring: PolyRing) -> "Poly":
         """Reduce a char-0 polynomial into the given prime-characteristic ring."""
@@ -541,11 +492,10 @@ class _Parser:
     atom   := INT | VAR | '(' expr ')'
     """
 
-    def __init__(self, ring: PolyRing, text: str, max_exponent: int):
+    def __init__(self, ring: PolyRing, text: str):
         self.ring = ring
         self.text = text
         self.pos = 0
-        self.max_exponent = max_exponent
 
     def parse(self) -> Poly:
         value = self._expr()
@@ -593,10 +543,8 @@ class _Parser:
         if self._peek() == "^":
             self.pos += 1
             e = self._integer("exponent expected")
-            if e > self.max_exponent:
-                raise PolyParseError(
-                    f"exponent {e} exceeds bound {self.max_exponent}", self.pos
-                )
+            if e > MAX_EXPONENT:
+                raise PolyParseError(f"exponent {e} exceeds bound {MAX_EXPONENT}", self.pos)
             return base**e
         return base
 

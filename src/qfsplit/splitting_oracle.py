@@ -243,7 +243,7 @@ def _weighted_degree(exps: tuple[int, int, int], weights: tuple[int, int, int]) 
     return exps[0] * weights[0] + exps[1] * weights[1] + exps[2] * weights[2]
 
 
-def _monomials_of_weight_at_most(cover, weights, cap):
+def _monomials_of_weight_at_most(weights, cap):
     wx, wy, wz = weights
     out = []
     for eps in (0, 1):
@@ -337,7 +337,7 @@ def splitting_search(cover: DoubleCover) -> bool:
     q_cap = p * p * degree_cap
 
     zp = _z_power_normal_form(cover)
-    k2 = _k2_reducer(p, zp, _monomials_of_weight_at_most(cover, weights, q_cap // p))
+    k2 = _k2_reducer(p, zp, _monomials_of_weight_at_most(weights, q_cap // p))
     move = _module_moves(cover, k2, zp)
 
     def q_degree(slot: str, exps) -> int:
@@ -346,12 +346,12 @@ def splitting_search(cover: DoubleCover) -> bool:
 
     slot0 = [
         m
-        for m in _monomials_of_weight_at_most(cover, weights, q_cap // p)
+        for m in _monomials_of_weight_at_most(weights, q_cap // p)
         if q_degree("0", m) % (p * p) == 0
     ]
     slot1 = [
         m
-        for m in _monomials_of_weight_at_most(cover, weights, q_cap)
+        for m in _monomials_of_weight_at_most(weights, q_cap)
         if q_degree("1", m) % (p * p) == 0 and k2.reduce({m: 1}) == {m: 1}
     ]
 
@@ -361,7 +361,7 @@ def splitting_search(cover: DoubleCover) -> bool:
         if degree not in r_cache:
             r_cache[degree] = [
                 m
-                for m in _monomials_of_weight_at_most(cover, weights, degree)
+                for m in _monomials_of_weight_at_most(weights, degree)
                 if _weighted_degree(m, weights) == degree
             ]
         return r_cache[degree]

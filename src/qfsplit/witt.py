@@ -38,11 +38,11 @@ from typing import Sequence
 
 from .ring import Poly, PolyRing, RingMismatchError
 
-DEFAULT_LENGTH_CAP = 8
+LENGTH_CAP = 8
 
 
 class WittLengthError(ValueError):
-    """Witt vector length outside [1, length_cap] (DEFAULT_LENGTH_CAP = 8)."""
+    """Witt vector length outside [1, LENGTH_CAP]."""
 
 
 class WittVector:
@@ -50,13 +50,13 @@ class WittVector:
 
     __slots__ = ("ring", "components")
 
-    def __init__(self, ring: PolyRing, components: Sequence[Poly], length_cap: int = DEFAULT_LENGTH_CAP):
+    def __init__(self, ring: PolyRing, components: Sequence[Poly]):
         if ring.char == 0:
             raise ValueError("Witt vectors require prime characteristic")
         components = tuple(components)
-        if not 1 <= len(components) <= length_cap:
+        if not 1 <= len(components) <= LENGTH_CAP:
             raise WittLengthError(
-                f"length {len(components)} outside [1, {length_cap}]"
+                f"length {len(components)} outside [1, {LENGTH_CAP}]"
             )
         for a in components:
             if a.ring != ring:
@@ -131,7 +131,7 @@ class WittVector:
         powers: list[Poly] = []  # lift_i^{p^{k-i}} for i <= k
         out = []
         for k, a in enumerate(self.components):
-            powers = [q**p for q in powers] + [a.lift_integers(lift_ring)]
+            powers = [q**p for q in powers] + [a.lift_integers()]
             out.append(_ghost_sum(lift_ring, p, powers))
         return tuple(out)
 
@@ -147,7 +147,7 @@ class WittVector:
             lower = _ghost_sum(lift_ring, p, powers)
             c = (w - lower).divide_exact(p**k).reduce_mod(ring)
             comps.append(c)
-            powers.append(c.lift_integers(lift_ring))
+            powers.append(c.lift_integers())
         return cls(ring, comps)
 
     # -- ring operations ----------------------------------------------------
@@ -188,12 +188,8 @@ class WittVector:
         return WittVector(self.ring, self.components[:-1])
 
     def extend(self, extra: int = 1) -> "WittVector":
-        """Append zero coordinates (a section of restriction, used in tests)."""
-        return WittVector(
-            self.ring,
-            self.components + (self.ring.zero(),) * extra,
-            length_cap=max(DEFAULT_LENGTH_CAP, self.n + extra),
-        )
+        """Append zero coordinates (a section of restriction)."""
+        return WittVector(self.ring, self.components + (self.ring.zero(),) * extra)
 
 
 def _ghost_sum(lift_ring: PolyRing, p: int, powers: Sequence[Poly]) -> Poly:
@@ -355,8 +351,8 @@ def delta_carry(f: Poly, q: int | None = None) -> Poly:
     p = ring.char
     if not p:
         raise ValueError("delta_carry needs prime characteristic")
-    lift_ring = ring.lift_ring()
-    lifted = f.lift_integers(lift_ring)
+    lifted = f.lift_integers()
+    lift_ring = lifted.ring
     power = lifted**p if q is None else lifted.pow_trunc(p, q)
     term_powers = {
         tuple(e * p for e in exps): c**p
@@ -378,11 +374,13 @@ def eval_at_teichmuller(f: Poly, n: int) -> WittVector:
     return result
 
 
+def teichmuller_identity_sides(f: Poly) -> tuple[WittVector, WittVector]:
+    """The two sides of [f] = f([x]) + V(delta_carry(f)) in W_2."""
+    carry = WittVector(f.ring, [f.ring.zero(), delta_carry(f)])
+    return WittVector.teichmuller(f, 2), eval_at_teichmuller(f, 2) + carry
+
+
 def teichmuller_identity_holds(f: Poly) -> bool:
     """Check [f] = f([x]) + V(delta_carry(f)) in W_2."""
-    lhs = WittVector.teichmuller(f, 2)
-    carry = delta_carry(f)
-    rhs = eval_at_teichmuller(f, 2) + WittVector(
-        f.ring, [f.ring.zero(), carry]
-    )
+    lhs, rhs = teichmuller_identity_sides(f)
     return lhs == rhs

@@ -300,6 +300,14 @@ class TestBatch:
         code, _, err = run_cli(capsys, "batch", str(catalog))
         assert code == 2
 
+    def test_non_list_tags_abort_with_exit_two(self, capsys, tmp_path):
+        catalog = tmp_path / "tags.jsonl"
+        catalog.write_text('{"name": "t", "p": 3, "kind": "hypersurface", "poly": "x", "tags": 5}\n')
+        code, out, err = run_cli(capsys, "batch", str(catalog))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {catalog}:1: tags must be a list of strings\n"
+
 
 class TestReportRoundTrip:
     def test_json_round_trip(self):
@@ -315,6 +323,11 @@ class TestReportRoundTrip:
             CatalogEntry.from_dict({"name": "x", "p": 3, "kind": "nope", "poly": "x"})
         with pytest.raises(CatalogError):
             CatalogEntry.from_dict({"name": "x", "p": 1, "kind": "hypersurface", "poly": "x"})
+        for tags in (5, "rdp", ["rdp", 3], None):
+            with pytest.raises(CatalogError, match="tags must be a list of strings"):
+                CatalogEntry.from_dict({"name": "x", "p": 3, "kind": "hypersurface", "poly": "x", "tags": tags})
+        entry = CatalogEntry.from_dict({"name": "x", "p": 3, "kind": "hypersurface", "poly": "x", "tags": ["rdp"]})
+        assert entry.tags == ("rdp",)
 
     def test_summarize_counts(self):
         entries = [

@@ -10,11 +10,9 @@ from qfsplit.localcoh import (
     frobenius_h2,
     frobenius_image_membership,
     has_isolated_singularity,
-    in_frobenius_image,
     normal_form,
     quasi2_doublecover,
     reduce_modulo_cover,
-    ring_multiply,
     socle,
     witt_carry_class,
 )
@@ -51,9 +49,6 @@ class TestDoubleCoverValidation:
         ring = PolyRing(3, ("x", "y"))
         with pytest.raises(ValueError):
             DoubleCover(3, ring.zero())
-
-    def test_equation(self, e6_p3):
-        assert e6_p3.equation() == e6_p3.ring_xyz.parse("z^2 + x^3 + y^4")
 
 
 class TestNormalForm:
@@ -135,8 +130,10 @@ class TestSocle:
 
     def test_divides_every_nonzero_class(self, rng, e6_p3):
         # for random xi there is a ring element r with r * xi = socle; the
-        # multiplier is found as an F_p-combination of monomial multiples
+        # multiplier is found as an F_p-combination of monomial multiples,
+        # each m * xi taken as the normal form of m times xi's numerators
         ring = e6_p3.ring_xyz
+        z = ring.gen("z")
         keys = [(eps, i, j) for eps in (0, 1) for i in (1, 2, 3) for j in (1, 2, 3)]
         for _ in range(8):
             terms = {k: rng.randint(0, 2) for k in rng.sample(keys, 3)}
@@ -147,8 +144,11 @@ class TestSocle:
             for u in range(0, 5):
                 for v in range(0, 5):
                     for w in (0, 1):
-                        m = ring.monomial({"x": u, "y": v}) * ring.gen("z") ** w
-                        columns.append(ring_multiply(m, xi, e6_p3).term_map())
+                        m = ring.monomial({"x": u, "y": v}) * z**w
+                        column = H2Class.zero(3)
+                        for (eps, i, j), c in xi.terms():
+                            column = column + normal_form(m * z**eps, (i, j), e6_p3).scale(c)
+                        columns.append(column.term_map())
             coeffs, _ = linalg.solve(columns, socle(e6_p3).term_map(), 3)
             assert coeffs is not None
 
@@ -204,12 +204,8 @@ class TestWittCarry:
                 b_terms[(u, v - p, w)] = c
         x_part = ring.monomial({"x": p}) * ring.from_terms(a_terms)
         y_part = ring.monomial({"y": p}) * ring.from_terms(b_terms)
-        lift = ring.lift_ring()
-        carry = (
-            (x_part.lift_integers(lift) + y_part.lift_integers(lift)) ** p
-            - x_part.lift_integers(lift) ** p
-            - y_part.lift_integers(lift) ** p
-        ).divide_exact(p).reduce_mod(ring)
+        x_lift, y_lift = x_part.lift_integers(), y_part.lift_integers()
+        carry = ((x_lift + y_lift) ** p - x_lift**p - y_lift**p).divide_exact(p).reduce_mod(ring)
         rebuilt = (
             WittVector.teichmuller(x_part, 2)
             + WittVector.teichmuller(y_part, 2)
@@ -227,7 +223,7 @@ class TestFrobeniusImage:
         assert result.witness is not None
 
     def test_zero_in_image(self, e6_p3):
-        assert in_frobenius_image(H2Class.zero(3), e6_p3) is True
+        assert frobenius_image_membership(H2Class.zero(3), e6_p3).feasible is True
 
     def test_direct_image(self, e6_p3):
         result = frobenius_image_membership(h2(3, ((0, 3, 3), 1)), e6_p3)

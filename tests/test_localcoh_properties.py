@@ -98,9 +98,8 @@ def reference_carry(cover, splitting):
     for (u, v, w), c in numerator.term_map().items():
         to_x = u >= p if splitting == "x-first" else v < p
         (x_terms if to_x else y_terms)[(u, v, w)] = c
-    lift = ring.lift_ring()
-    x_part = ring.from_terms(x_terms).lift_integers(lift)
-    y_part = ring.from_terms(y_terms).lift_integers(lift)
+    x_part = ring.from_terms(x_terms).lift_integers()
+    y_part = ring.from_terms(y_terms).lift_integers()
     carry = ((x_part + y_part) ** p - x_part**p - y_part**p).divide_exact(p)
     return normal_form(carry.reduce_mod(ring), (p * p, p * p), cover)
 

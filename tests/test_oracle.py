@@ -139,7 +139,7 @@ def test_generator_table_matches_poly_products(name, p, text):
     cover = make_cover(p, text)
     ring = cover.ring_xyz
     neg_g = cover.neg_g.term_map()
-    window = _monomials_of_weight_at_most(cover, quasi_homogeneous_weights(cover), 4 * p * p)
+    window = _monomials_of_weight_at_most(quasi_homogeneous_weights(cover), 4 * p * p)
     assert any(eps for _u, _v, eps in window)
     for index, t in enumerate(("x", "y", "z")):
         for r in window:
@@ -164,9 +164,9 @@ def test_move_table_matches_poly_products(name, p, text):
     ring = cover.ring_xyz
     weights = quasi_homogeneous_weights(cover)
     zp = _z_power_normal_form(cover)
-    k2 = _k2_reducer(p, zp, _monomials_of_weight_at_most(cover, weights, 4 * p**3))
+    k2 = _k2_reducer(p, zp, _monomials_of_weight_at_most(weights, 4 * p**3))
     move = _module_moves(cover, k2, zp)
-    window = _monomials_of_weight_at_most(cover, weights, p * p * max(weights))
+    window = _monomials_of_weight_at_most(weights, p * p * max(weights))
     assert any(eps for _u, _v, eps in window)
     zero = ring.zero()
     for index, t in enumerate(("x", "y", "z")):

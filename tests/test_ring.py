@@ -47,11 +47,9 @@ class TestParse:
             r5xy.parse("x + w")
 
     def test_exponent_bound(self, r5xy):
+        assert r5xy.parse("x^2147483647") == r5xy.monomial({"x": 2**31 - 1})
         with pytest.raises(PolyParseError):
             r5xy.parse("x^2147483648")
-        assert r5xy.parse("x^12", max_exponent=20).degree_in("x") == 12
-        with pytest.raises(PolyParseError):
-            r5xy.parse("x^21", max_exponent=20)
 
     def test_rendering_round_trip(self, rng, r3xyz):
         for _ in range(25):
@@ -172,37 +170,6 @@ class TestFrobeniusPowerIdeal:
             exps = tuple(rng.randint(0, 3) for _ in r3xyz.variables)
             m = r3xyz.from_terms({exps: 1 + rng.randint(0, 1)})
             assert (m * f).in_frobenius_power_ideal(1)
-
-
-class TestSubstitute:
-    def test_char2_square(self):
-        ring = PolyRing(2, ("x", "y"))
-        f = ring.parse("x^2")
-        image = f.substitute({"x": ring.parse("y + 1")})
-        assert image == ring.parse("y^2 + 1")
-
-    def test_identity_assignment(self, rng, r5xy):
-        values = {name: r5xy.gen(name) for name in r5xy.variables}
-        for _ in range(10):
-            f = random_poly(rng, r5xy)
-            assert f.substitute(values) == f
-
-    def test_composite(self):
-        ring = PolyRing(3, ("x", "y"))
-        f = ring.parse("x*y")
-        assert f.substitute({"x": ring.parse("x^2"), "y": ring.gen("x")}) == ring.parse("x^3")
-
-    def test_missing_variable(self, r5xy):
-        with pytest.raises(KeyError):
-            r5xy.parse("x*y").substitute({"x": r5xy.gen("x")})
-
-    def test_homomorphism(self, rng, r5xy):
-        target = {"x": r5xy.parse("x + y"), "y": r5xy.parse("x*y + 2")}
-        for _ in range(10):
-            a = random_poly(rng, r5xy)
-            b = random_poly(rng, r5xy)
-            assert (a + b).substitute(target) == a.substitute(target) + b.substitute(target)
-            assert (a * b).substitute(target) == a.substitute(target) * b.substitute(target)
 
 
 class TestRingContext:

@@ -39,13 +39,12 @@ class TestClosedFormsLengthTwo:
 
     def test_closed_form_addition(self, rng, r3):
         # (a0,a1)+(b0,b1) = (a0+b0, a1+b1 - ((a0~+b0~)^p - a0~^p - b0~^p)/p)
-        lift_ring = r3.lift_ring()
         p = 3
         for _ in range(20):
             u = random_witt(rng, r3, 2)
             v = random_witt(rng, r3, 2)
-            a0l = u.components[0].lift_integers(lift_ring)
-            b0l = v.components[0].lift_integers(lift_ring)
+            a0l = u.components[0].lift_integers()
+            b0l = v.components[0].lift_integers()
             carry = (((a0l + b0l) ** p) - a0l**p - b0l**p).divide_exact(p)
             expected = WittVector(
                 r3,
@@ -231,6 +230,11 @@ class TestStructuralMaps:
     def test_length_cap(self, r3):
         with pytest.raises(WittLengthError):
             WittVector.zero(r3, 9)
+
+    def test_extend_obeys_the_length_cap(self, r3):
+        assert WittVector.zero(r3, 7).extend(1) == WittVector.zero(r3, 8)
+        with pytest.raises(WittLengthError):
+            WittVector.zero(r3, 8).extend(1)
 
 
 class TestTeichmuller:
