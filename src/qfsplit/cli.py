@@ -14,11 +14,8 @@ import sys
 import time
 
 from . import __version__
-from .criteria import ZeroInputError
-from .localcoh import SocleSurvivesError
 from .report import (
     CatalogEntry,
-    CatalogError,
     infer_variables,
     load_catalog,
     parse_doublecover,
@@ -26,7 +23,7 @@ from .report import (
     run_entry,
     summarize,
 )
-from .ring import ExponentOverflowError, PolyParseError, PolyRing
+from .ring import PolyRing
 from .witt import WittVector, delta_carry, teichmuller_identity_sides
 
 
@@ -82,24 +79,15 @@ def _ring_for(p: int, texts: list[str]) -> PolyRing:
     return PolyRing(p, names)
 
 
-def _parse_witt_operand(text: str, ring: PolyRing, n: int) -> WittVector:
-    text = text.strip()
+def _witt_operand(text: str) -> tuple[str, list[str]]:
+    """Split a stripped witt operand into its form, "[" for a lift [f], "("
+    for a vector (a0; a1; ...) or "" for a bare polynomial, and its
+    component texts."""
     if text.startswith("[") and text.endswith("]"):
-        return WittVector.teichmuller(ring.parse(text[1:-1]), n)
+        return "[", [text[1:-1]]
     if text.startswith("(") and text.endswith(")"):
-        parts = text[1:-1].split(";")
-        comps = [ring.parse(part) for part in parts]
-        return WittVector(ring, comps)
-    raise InputError(f"Witt operand must be [poly] or (a0; a1; ...): {text!r}")
-
-
-def _strip_witt_brackets(text: str) -> str:
-    text = text.strip()
-    if text.startswith("[") and text.endswith("]"):
-        return text[1:-1]
-    if text.startswith("(") and text.endswith(")"):
-        return text[1:-1]
-    return text
+        return "(", text[1:-1].split(";")
+    return "", [text]
 
 
 def _cmd_check(args) -> int:
@@ -156,37 +144,43 @@ def _cmd_batch(args) -> int:
 
 def _cmd_witt(args) -> int:
     sub = args.subcommand
-    operands = args.operands
+    operands = [text.strip() for text in args.operands]
 
     if sub in ("add", "mul"):
         if len(operands) != 2:
             raise InputError(f"witt {sub} takes exactly two operands")
-        texts = [_strip_witt_brackets(t) for t in operands]
-        ring = _ring_for(args.p, texts)
+        parsed = [_witt_operand(text) for text in operands]
+        ring = _ring_for(args.p, [c for _, comps in parsed for c in comps])
         n = args.n
-        for text in operands:
-            text = text.strip()
-            if text.startswith("("):
-                count = len(text[1:-1].split(";"))
+        for text, (form, comps) in zip(operands, parsed):
+            if not form:
+                raise InputError(f"Witt operand must be [poly] or (a0; a1; ...): {text!r}")
+            if form == "(":
                 if n is None:
-                    n = count
-                elif n != count:
-                    raise InputError(f"operand {text!r} has length {count}, expected {n}")
-        n = n or 2
-        u = _parse_witt_operand(operands[0], ring, n)
-        v = _parse_witt_operand(operands[1], ring, n)
+                    n = len(comps)
+                elif n != len(comps):
+                    raise InputError(f"operand {text!r} has length {len(comps)}, expected {n}")
+        n = 2 if n is None else n
+        u, v = (
+            WittVector.teichmuller(ring.parse(comps[0]), n)
+            if form == "["
+            else WittVector(ring, [ring.parse(c) for c in comps])
+            for form, comps in parsed
+        )
         result = u + v if sub == "add" else u * v
         print(result.render())
         return 0
 
     if len(operands) != 1:
         raise InputError(f"witt {sub} takes exactly one operand")
-    text = _strip_witt_brackets(operands[0])
-    ring = _ring_for(args.p, [text])
-    f = ring.parse(text)
+    _, comps = _witt_operand(operands[0])
+    if len(comps) != 1:
+        raise InputError(f"witt {sub} takes one polynomial, not a vector")
+    ring = _ring_for(args.p, comps)
+    f = ring.parse(comps[0])
 
     if sub == "teich":
-        print(WittVector.teichmuller(f, args.n or 2).render())
+        print(WittVector.teichmuller(f, 2 if args.n is None else args.n).render())
         return 0
     if sub == "delta":
         print(delta_carry(f).render())
@@ -209,16 +203,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "batch":
             return _cmd_batch(args)
         return _cmd_witt(args)
-    except (
-        InputError,
-        CatalogError,
-        PolyParseError,
-        ExponentOverflowError,
-        ZeroInputError,
-        SocleSurvivesError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # input errors all subclass ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,9 +32,8 @@ class SingularCurveError(ValueError):
 class Verdict:
     """Outcome of a splitness analysis.
 
-    height_le is 1 exactly when f_split, 2 exactly when quasi2 holds
-    without f_split, and None otherwise (height > 2 or search capped);
-    quasi2 is None when the height-2 clause was never evaluated.
+    quasi2 is None when the height-2 clause was never evaluated; the height
+    bound height_le is derived from f_split and quasi2.
 
     witnesses maps "clause1" and "clause2" to the hypersurface clause
     polynomials f^{p-1} and f^{p^2-p-1} * delta(f), computed exactly in
@@ -45,18 +44,18 @@ class Verdict:
 
     f_split: bool
     quasi2: bool | None
-    height_le: int | None
     witnesses: dict[str, Poly] | None = None
     flags: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         if self.f_split and self.quasi2 is not True:
             raise ValueError("F-split verdicts must have quasi2")
-        expected = 1 if self.f_split else 2 if self.quasi2 else None
-        if self.height_le != expected:
-            raise ValueError(
-                f"height_le must be {expected} for f_split={self.f_split}, quasi2={self.quasi2}"
-            )
+
+    @property
+    def height_le(self) -> int | None:
+        """1 if F-split, 2 if 2-quasi-F-split only, None if height > 2 or
+        the search was capped."""
+        return 1 if self.f_split else 2 if self.quasi2 else None
 
     def summary(self) -> str:
         if self.f_split:
@@ -68,14 +67,10 @@ class Verdict:
         return "not F-split; not 2-quasi-F-split (height > 2)"
 
 
-def _require_nonzero(f: Poly) -> None:
-    if f.is_zero():
-        raise ZeroInputError("zero polynomial")
-
-
 def _clause1(f: Poly) -> tuple[Poly, bool]:
     """f^{p-1} modulo (x_1^p, ..., x_n^p), and whether it is nonzero there."""
-    _require_nonzero(f)
+    if f.is_zero():
+        raise ZeroInputError("zero polynomial")
     p = f.ring.char
     residue = f.pow_trunc(p - 1, p)
     return residue, not residue.is_zero()
@@ -108,16 +103,13 @@ def quasi2_test(f: Poly) -> Verdict:
         return Verdict(
             f_split=True,
             quasi2=True,
-            height_le=1,
             witnesses={"clause1": clause1_poly},
             flags=flags,
         )
     clause2_poly = f.pow_trunc(q - p - 1, q).mul_trunc(delta_carry(f, q), q)
-    quasi2 = not clause2_poly.is_zero()
     return Verdict(
         f_split=False,
-        quasi2=quasi2,
-        height_le=2 if quasi2 else None,
+        quasi2=not clause2_poly.is_zero(),
         witnesses={"clause1": clause1_poly, "clause2": clause2_poly},
         flags=flags,
     )
@@ -128,13 +120,11 @@ def height_search(f: Poly, max_n: int = 2) -> Verdict:
     the height, so the first success is the answer."""
     if max_n not in (1, 2):
         raise ValueError("max_n must be 1 or 2")
-    _require_nonzero(f)
     if max_n == 1:
         split = fedder_test(f)
         return Verdict(
             f_split=split,
             quasi2=True if split else None,
-            height_le=1 if split else None,
             flags=_conformance_flags(f),
         )
     return quasi2_test(f)

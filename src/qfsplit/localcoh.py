@@ -11,7 +11,7 @@ verdict is whether that carry class escapes the image of Frobenius.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
@@ -352,7 +352,6 @@ class LocalCohAnalysis:
     socle_image: H2Class
     carry: H2Class | None
     membership: MembershipResult | None
-    flags: tuple[str, ...] = field(default_factory=tuple)
 
 
 def analyze(cover: DoubleCover) -> LocalCohAnalysis:
@@ -367,23 +366,15 @@ def analyze(cover: DoubleCover) -> LocalCohAnalysis:
         flags.append(FLAG_SOCLE_CRITERION)
     socle_image = frobenius_h2(socle(cover), cover)
     if not socle_image.is_zero():
-        verdict = Verdict(
-            f_split=True, quasi2=True, height_le=1, flags=tuple(flags)
-        )
-        return LocalCohAnalysis(verdict, socle_image, None, None, tuple(flags))
+        verdict = Verdict(f_split=True, quasi2=True, flags=tuple(flags))
+        return LocalCohAnalysis(verdict, socle_image, None, None)
     carry = witt_carry_class(cover)
     membership = frobenius_image_membership(carry, cover)
     if membership.feasible and membership.escalations:
         # the initial candidate bound was under-inclusive
         flags.append(FLAG_BOUND_ESCALATED)
-    quasi2 = not membership.feasible
-    verdict = Verdict(
-        f_split=False,
-        quasi2=quasi2,
-        height_le=2 if quasi2 else None,
-        flags=tuple(flags),
-    )
-    return LocalCohAnalysis(verdict, socle_image, carry, membership, tuple(flags))
+    verdict = Verdict(f_split=False, quasi2=not membership.feasible, flags=tuple(flags))
+    return LocalCohAnalysis(verdict, socle_image, carry, membership)
 
 
 def quasi2_doublecover(cover: DoubleCover) -> Verdict:

@@ -99,25 +99,25 @@ def parse_doublecover(p: int, text: str) -> DoubleCover:
 class Report:
     entry: CatalogEntry
     verdict: Verdict | None
-    flags: tuple[str, ...] = field(default_factory=tuple)
     intermediates: dict[str, Any] | None = None
     timing_ms: float | None = None
     error: str | None = None
 
     def to_dict(self, include_timing: bool = False) -> dict:
-        verdict = None
+        verdict, flags = None, ["error"]
         if self.verdict is not None:
             verdict = {
                 "f_split": self.verdict.f_split,
                 "quasi2": self.verdict.quasi2,
                 "height_le": self.verdict.height_le,
             }
+            flags = sorted(self.verdict.flags)
         data = {
             "schema_version": SCHEMA_VERSION,
             "version": __version__,
             "entry": self.entry.to_dict(),
             "verdict": verdict,
-            "flags": sorted(self.flags),
+            "flags": flags,
             "intermediates": self.intermediates,
             "error": self.error,
         }
@@ -188,18 +188,15 @@ def run_entry(
             f = parsed if parsed is not None else parse_hypersurface(entry.p, entry.poly)
             verdict = height_search(f, max_n=max_n)
             intermediates = _witness_intermediates(verdict) if explain else None
-            flags = verdict.flags
         else:
             cover = parsed if parsed is not None else parse_doublecover(entry.p, entry.poly)
             analysis = analyze(cover)
             verdict = analysis.verdict
             intermediates = _membership_intermediates(analysis) if explain else None
-            flags = analysis.flags
         elapsed = (time.perf_counter() - start) * 1000.0
         return Report(
             entry=entry,
             verdict=verdict,
-            flags=flags,
             intermediates=intermediates,
             timing_ms=round(elapsed, 3),
         )
@@ -208,7 +205,6 @@ def run_entry(
         return Report(
             entry=entry,
             verdict=None,
-            flags=("error",),
             timing_ms=round(elapsed, 3),
             error=f"{type(exc).__name__}: {exc}",
         )

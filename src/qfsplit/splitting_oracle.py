@@ -366,13 +366,12 @@ def splitting_search(cover: DoubleCover) -> bool:
             ]
         return r_cache[degree]
 
-    unknowns: dict[tuple, int] = {}
-    for slot, basis in (("0", slot0), ("1", slot1)):
-        for b in basis:
-            for r in r_basis(q_degree(slot, b) // (p * p)):
-                unknowns[((slot, b), r)] = len(unknowns)
-
-    columns: dict[tuple, dict] = {key: {} for key in unknowns}
+    columns: dict[tuple, dict] = {
+        ((slot, b), r): {}
+        for slot, basis in (("0", slot0), ("1", slot1))
+        for b in basis
+        for r in r_basis(q_degree(slot, b) // (p * p))
+    }
 
     def add_term(row_key, unknown_key, coeff) -> None:
         if unknown_key not in columns:

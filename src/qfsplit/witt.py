@@ -72,7 +72,7 @@ class WittVector:
 
     @classmethod
     def one(cls, ring: PolyRing, n: int) -> "WittVector":
-        return cls(ring, [ring.one()] + [ring.zero()] * (n - 1))
+        return cls.teichmuller(ring.one(), n)
 
     @classmethod
     def p_element(cls, ring: PolyRing, n: int) -> "WittVector":
@@ -86,7 +86,7 @@ class WittVector:
     @classmethod
     def teichmuller(cls, f: Poly, n: int) -> "WittVector":
         """[f] = (f, 0, ..., 0); multiplicative but not additive."""
-        return cls(f.ring, [f] + [f.ring.zero()] * (n - 1))
+        return cls(f.ring, [f if i == 0 else f.ring.zero() for i in range(n)])
 
     # -- basic structure ----------------------------------------------------
 

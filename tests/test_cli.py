@@ -224,6 +224,20 @@ class TestWittCommands:
         assert code == 2
         assert "length 9" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("teich", "--p", "3", "--n", "0", "x"),
+            ("teich", "--p", "3", "--n", "-1", "x"),
+            ("add", "--p", "3", "--n", "0", "[1]", "[1]"),
+        ],
+    )
+    def test_length_below_one_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, "witt", *argv)
+        assert code == 2
+        assert out == ""
+        assert "outside [1, 8]" in err
+
 
 class TestBatch:
     def test_bundled_catalog(self, capsys, tmp_path):
@@ -290,7 +304,7 @@ class TestBatch:
         assert code == 0
         lines = [json.loads(line) for line in out_path.read_text().splitlines()]
         assert lines[0]["error"] is not None
-        assert "error" in lines[0]["flags"]
+        assert lines[0]["flags"] == ["error"]
         assert lines[1]["verdict"]["f_split"] is True
         assert "1 error" in out
 

@@ -129,29 +129,25 @@ class TestQuasi2:
 class TestVerdictInvariants:
     def test_f_split_forces_heights(self):
         with pytest.raises(ValueError):
-            Verdict(f_split=True, quasi2=False, height_le=1)
+            Verdict(f_split=True, quasi2=False)
         with pytest.raises(ValueError):
-            Verdict(f_split=True, quasi2=True, height_le=2)
-        with pytest.raises(ValueError):
-            Verdict(f_split=False, quasi2=True, height_le=None)
+            Verdict(f_split=True, quasi2=None)
 
     @pytest.mark.parametrize(
         "f_split,quasi2,height_le",
-        [(False, True, 1), (False, False, 2), (False, None, 1), (False, None, 2),
-         (False, False, 1), (True, None, 1), (False, True, 3)],
+        [(True, True, 1), (False, True, 2), (False, False, None), (False, None, None)],
     )
-    def test_contradictory_heights_rejected(self, f_split, quasi2, height_le):
-        with pytest.raises(ValueError):
-            Verdict(f_split, quasi2, height_le)
+    def test_height_is_derived(self, f_split, quasi2, height_le):
+        assert Verdict(f_split, quasi2).height_le == height_le
 
     def test_summaries(self):
-        assert Verdict(True, True, 1).summary() == "F-split (height 1)"
+        assert Verdict(True, True).summary() == "F-split (height 1)"
         assert (
-            Verdict(False, True, 2).summary()
+            Verdict(False, True).summary()
             == "not F-split; 2-quasi-F-split (height 2)"
         )
-        assert "undecided" in Verdict(False, None, None).summary()
-        assert "height > 2" in Verdict(False, False, None).summary()
+        assert "undecided" in Verdict(False, None).summary()
+        assert "height > 2" in Verdict(False, False).summary()
 
 
 class TestHeightSearch:

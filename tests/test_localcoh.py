@@ -273,7 +273,7 @@ class TestVerdicts:
         ring = PolyRing(3, ("x", "y"))
         result = analyze(DoubleCover(3, ring.parse("x^2")))
         assert result.verdict.height_le == 1
-        assert FLAG_SOCLE_CRITERION in result.flags
+        assert FLAG_SOCLE_CRITERION in result.verdict.flags
 
     def test_e8_char2_beyond_height_two(self):
         ring = PolyRing(2, ("x", "y"))

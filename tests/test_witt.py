@@ -236,6 +236,13 @@ class TestStructuralMaps:
         with pytest.raises(WittLengthError):
             WittVector.zero(r3, 8).extend(1)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_constructors_reject_lengths_below_one(self, r3, n):
+        with pytest.raises(WittLengthError):
+            WittVector.teichmuller(r3.gen("x"), n)
+        with pytest.raises(WittLengthError):
+            WittVector.one(r3, n)
+
 
 class TestTeichmuller:
     def test_multiplicative(self, rng, r3):
