@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .ring import PolyRing, Poly, PolyParseError, RingMismatchError
 from .witt import WittVector, delta_carry
-from .criteria import Verdict, fedder_test, quasi2_test, height_search, supersingular_oracle
+from .criteria import Verdict, fedder_test, quasi2_test, supersingular_oracle
 from .localcoh import DoubleCover, H2Class, quasi2_doublecover
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "Verdict",
     "fedder_test",
     "quasi2_test",
-    "height_search",
     "supersingular_oracle",
     "DoubleCover",
     "H2Class",

@@ -44,7 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--kind", choices=("hypersurface", "doublecover"), default="hypersurface"
     )
-    check.add_argument("--max-n", type=int, default=2, choices=(1, 2))
     check.add_argument("--vars", help="comma-separated variables (hypersurface only)")
     check.add_argument("--json", action="store_true", help="emit the JSON report")
     check.add_argument("--explain", action="store_true", help="include intermediates")
@@ -68,15 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _ring_for(p: int, texts: list[str]) -> PolyRing:
-    seen = []
-    for text in texts:
-        for name in infer_variables(text):
-            if name not in seen:
-                seen.append(name)
-    names = tuple(sorted(seen))
-    if not names:
-        names = ("x",)  # constant operands still need a ring context
-    return PolyRing(p, names)
+    # constant operands still need a ring context
+    return PolyRing(p, infer_variables(" ".join(texts)) or ("x",))
 
 
 def _witt_operand(text: str) -> tuple[str, list[str]]:
@@ -102,7 +94,7 @@ def _cmd_check(args) -> int:
         parsed = parse_hypersurface(args.p, args.poly, names)
     else:
         parsed = parse_doublecover(args.p, args.poly)
-    report = run_entry(entry, explain=args.explain, max_n=args.max_n, parsed=parsed)
+    report = run_entry(entry, explain=args.explain, parsed=parsed)
     if report.error is not None:
         print(f"error: {report.error}", file=sys.stderr)
         return 2

@@ -2,6 +2,11 @@
 height-2 quasi-F-split test, plus an elliptic point-count oracle used for
 cross-checking.
 
+Both tests accept any nonzero f; reports pass them only f in the maximal
+ideal m = (x_1, ..., x_n), and every verdict decides the height (1, 2, or
+> 2).  ``height_search`` is a second name for ``quasi2_test``, kept because
+perfbench's tracer wraps it by that name.
+
 The height-2 clause is stated for a homogeneous polynomial whose degree
 equals the number of variables (the Calabi-Yau case).  Other inputs are
 still evaluated but the verdict carries a warning flag instead of a
@@ -32,8 +37,8 @@ class SingularCurveError(ValueError):
 class Verdict:
     """Outcome of a splitness analysis.
 
-    quasi2 is None when the height-2 clause was never evaluated; the height
-    bound height_le is derived from f_split and quasi2.
+    f_split and quasi2 are both decided, and f_split implies quasi2; the
+    height bound height_le is derived from them.
 
     witnesses maps "clause1" and "clause2" to the hypersurface clause
     polynomials f^{p-1} and f^{p^2-p-1} * delta(f), computed exactly in
@@ -43,18 +48,17 @@ class Verdict:
     """
 
     f_split: bool
-    quasi2: bool | None
+    quasi2: bool
     witnesses: dict[str, Poly] | None = None
     flags: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.f_split and self.quasi2 is not True:
+        if self.f_split and not self.quasi2:
             raise ValueError("F-split verdicts must have quasi2")
 
     @property
     def height_le(self) -> int | None:
-        """1 if F-split, 2 if 2-quasi-F-split only, None if height > 2 or
-        the search was capped."""
+        """1 if F-split, 2 if 2-quasi-F-split only, None if height > 2."""
         return 1 if self.f_split else 2 if self.quasi2 else None
 
     def summary(self) -> str:
@@ -62,8 +66,6 @@ class Verdict:
             return "F-split (height 1)"
         if self.quasi2:
             return "not F-split; 2-quasi-F-split (height 2)"
-        if self.quasi2 is None:
-            return "not F-split; 2-quasi-F-splitness undecided"
         return "not F-split; not 2-quasi-F-split (height > 2)"
 
 
@@ -115,19 +117,7 @@ def quasi2_test(f: Poly) -> Verdict:
     )
 
 
-def height_search(f: Poly, max_n: int = 2) -> Verdict:
-    """Search heights 1..max_n in order; quasi-F-splitness is monotone in
-    the height, so the first success is the answer."""
-    if max_n not in (1, 2):
-        raise ValueError("max_n must be 1 or 2")
-    if max_n == 1:
-        split = fedder_test(f)
-        return Verdict(
-            f_split=split,
-            quasi2=True if split else None,
-            flags=_conformance_flags(f),
-        )
-    return quasi2_test(f)
+height_search = quasi2_test
 
 
 def supersingular_oracle(p: int, a: int, b: int) -> bool:

@@ -166,10 +166,6 @@ class DiffForm:
         return DiffForm(ring, self.degree + 1, out)
 
 
-def exterior_derivative(omega: DiffForm) -> DiffForm:
-    return omega.exterior_derivative()
-
-
 def _contract_potential(omega: DiffForm) -> DiffForm:
     """Potential of an exact form via the contraction homotopy.
 
@@ -336,7 +332,6 @@ def cartier_exactness(
     i = form_degree
 
     window = list(_form_basis(ring, i, cap))
-    index = {label: j for j, label in enumerate(window)}
 
     def basis_form(key, exps) -> DiffForm:
         return DiffForm(ring, len(key), {key: ring.from_terms({exps: 1})})
@@ -363,7 +358,6 @@ def cartier_exactness(
                 cd_zero = False
 
     cartier_rank = GaussianBasis(p)
-    exact_in_kernel = True
     for coeffs in kernel_vectors:
         omega = DiffForm.zero(ring, i)
         for j, c in enumerate(coeffs):

@@ -77,16 +77,13 @@ def infer_variables(text: str) -> tuple[str, ...]:
 
 
 def parse_hypersurface(p: int, text: str, variables: tuple[str, ...] | None = None):
-    names = variables or infer_variables(text)
-    if not names:
-        probe = PolyRing(p, ("x",)).parse(text)
-        if probe.is_zero():
-            raise ZeroInputError("zero polynomial")
-        raise ZeroInputError("constant polynomial defines no singularity")
-    ring = PolyRing(p, names)
-    f = ring.parse(text)
+    """f parsed over its variables (a ring with none parses constants),
+    checked to lie in the maximal ideal m = (x_1, ..., x_n)."""
+    f = PolyRing(p, variables or infer_variables(text)).parse(text)
     if f.is_zero():
         raise ZeroInputError("zero polynomial")
+    if f.constant_term():
+        raise ValueError("f must have zero constant term (f in m)")
     return f
 
 
@@ -177,7 +174,6 @@ def _witness_intermediates(verdict: Verdict) -> dict[str, Any]:
 def run_entry(
     entry: CatalogEntry,
     explain: bool = False,
-    max_n: int = 2,
     parsed: Poly | DoubleCover | None = None,
 ) -> Report:
     """Analyze one entry; ``parsed`` is entry.poly already parsed by the
@@ -186,7 +182,7 @@ def run_entry(
     try:
         if entry.kind == KIND_HYPERSURFACE:
             f = parsed if parsed is not None else parse_hypersurface(entry.p, entry.poly)
-            verdict = height_search(f, max_n=max_n)
+            verdict = height_search(f)
             intermediates = _witness_intermediates(verdict) if explain else None
         else:
             cover = parsed if parsed is not None else parse_doublecover(entry.p, entry.poly)
@@ -230,7 +226,7 @@ def load_catalog(path: str) -> list[CatalogEntry]:
 
 def summarize(reports: list[Report]) -> str:
     total = len(reports)
-    buckets = {"F-split": 0, "height 2": 0, "not 2-quasi-F-split": 0, "undecided": 0, "error": 0}
+    buckets = {"F-split": 0, "height 2": 0, "not 2-quasi-F-split": 0, "error": 0}
     for report in reports:
         if report.error is not None:
             buckets["error"] += 1
@@ -238,8 +234,6 @@ def summarize(reports: list[Report]) -> str:
             buckets["F-split"] += 1
         elif report.verdict.quasi2:
             buckets["height 2"] += 1
-        elif report.verdict.quasi2 is None:
-            buckets["undecided"] += 1
         else:
             buckets["not 2-quasi-F-split"] += 1
     parts = [f"{total} entries"]

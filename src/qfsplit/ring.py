@@ -483,6 +483,9 @@ class Poly:
         return f"Poly({self.ring!r}, {self.render()})"
 
 
+_DIGITS = frozenset("0123456789")
+
+
 class _Parser:
     """Recursive-descent parser for the polynomial grammar.
 
@@ -490,6 +493,9 @@ class _Parser:
     term   := power ('*' power)*
     power  := atom ['^' INT]
     atom   := INT | VAR | '(' expr ')'
+
+    INT is ASCII 0-9 only; str.isdigit() would also take superscripts,
+    which int() rejects, and other scripts' digits, which it reads.
     """
 
     def __init__(self, ring: PolyRing, text: str):
@@ -557,7 +563,7 @@ class _Parser:
                 raise PolyParseError("missing ')'", self.pos)
             self.pos += 1
             return value
-        if ch.isdigit():
+        if ch in _DIGITS:
             return self.ring.constant(self._integer("integer expected"))
         if ch.isalpha() or ch == "_":
             start = self.pos
@@ -576,7 +582,7 @@ class _Parser:
     def _integer(self, message: str) -> int:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if start == self.pos:
             raise PolyParseError(message, self.pos)

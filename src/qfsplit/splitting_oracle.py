@@ -337,22 +337,20 @@ def splitting_search(cover: DoubleCover) -> bool:
     q_cap = p * p * degree_cap
 
     zp = _z_power_normal_form(cover)
-    k2 = _k2_reducer(p, zp, _monomials_of_weight_at_most(weights, q_cap // p))
+    slot0_window = _monomials_of_weight_at_most(weights, q_cap // p)
+    k2 = _k2_reducer(p, zp, slot0_window)
     move = _module_moves(cover, k2, zp)
 
     def q_degree(slot: str, exps) -> int:
         scale = p if slot == "0" else 1
         return scale * _weighted_degree(exps, weights)
 
-    slot0 = [
-        m
-        for m in _monomials_of_weight_at_most(weights, q_cap // p)
-        if q_degree("0", m) % (p * p) == 0
-    ]
+    slot0 = [m for m in slot0_window if q_degree("0", m) % (p * p) == 0]
+    # a monomial reduces to itself modulo K_2 iff it is no pivot of K_2
     slot1 = [
         m
         for m in _monomials_of_weight_at_most(weights, q_cap)
-        if q_degree("1", m) % (p * p) == 0 and k2.reduce({m: 1}) == {m: 1}
+        if q_degree("1", m) % (p * p) == 0 and m not in k2.rows
     ]
 
     r_cache: dict[int, list] = {}

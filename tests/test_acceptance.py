@@ -5,11 +5,13 @@ lines; every expected value is exact and every runtime bound is asserted.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 
+import qfsplit
 from qfsplit.criteria import fedder_test, quasi2_test, supersingular_oracle
 from qfsplit.forms import (
     DiffForm,
@@ -236,16 +238,25 @@ def test_criterion_09_splitting_independence():
     print("\nACCEPTANCE 9 PASS: the carry class is the addition defect of both x/y splits")
 
 
+def run_cli_subprocess(*args):
+    """Run ``python -m qfsplit.cli`` on the package this test imported, so
+    the subprocess sees it also when it is not installed."""
+    package_root = os.path.dirname(os.path.dirname(qfsplit.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "qfsplit.cli", *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
 def test_criterion_10_cli_determinism_and_golden(tmp_path):
     catalog = "src/qfsplit/data/catalog.jsonl"
     runs = []
     for which in ("a", "b"):
         out = tmp_path / f"{which}.jsonl"
-        proc = subprocess.run(
-            [sys.executable, "-m", "qfsplit.cli", "batch", catalog, "-o", str(out)],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli_subprocess("batch", catalog, "-o", str(out))
         assert proc.returncode == 0
         runs.append(out.read_bytes())
     assert runs[0] == runs[1]
@@ -265,14 +276,7 @@ def test_criterion_10_explain_certificates_golden(tmp_path):
     # pins socle_image, carry and the membership certificate (bound,
     # escalations, coefficients, witness_row) of every catalog entry
     out = tmp_path / "explain.jsonl"
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "qfsplit.cli", "batch", "--explain",
-            "src/qfsplit/data/catalog.jsonl", "-o", str(out),
-        ],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_cli_subprocess("batch", "--explain", "src/qfsplit/data/catalog.jsonl", "-o", str(out))
     assert proc.returncode == 0
     with open("tests/golden/bundled_catalog_explain.jsonl", "rb") as handle:
         assert out.read_bytes() == handle.read()

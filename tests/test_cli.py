@@ -50,6 +50,13 @@ class TestCheck:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("poly", ["x^3+y^3+z^3+1", "x - x + 1", "3"])
+    def test_hypersurface_constant_term_rejected(self, capsys, poly):
+        code, out, err = run_cli(capsys, "check", "--p", "5", poly)
+        assert code == 2
+        assert out == ""
+        assert "zero constant term" in err
+
     def test_doublecover_constant_term_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "check", "--p", "3", "--kind", "doublecover", "x + 1"
@@ -77,13 +84,6 @@ class TestCheck:
         assert inter["carry"] == "2*{z/(x^3*y)}"
         assert inter["membership"]["feasible"] is False
 
-    def test_max_n_one(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "check", "--p", "5", "--max-n", "1", "x^3+y^3+z^3"
-        )
-        assert code == 0
-        assert "undecided" in out
-
     def test_declared_vars_set_the_ring(self, capsys):
         # x^2 + y^2 is Calabi-Yau in 2 variables but not in 3
         code, out, _ = run_cli(
@@ -93,7 +93,7 @@ class TestCheck:
         assert json.loads(out)["flags"] == ["non-homogeneous-criterion"]
 
     def test_entry_error_exit_two(self, capsys, monkeypatch):
-        def fail(f, max_n=2):
+        def fail(f):
             raise RuntimeError("analysis failed")
 
         monkeypatch.setattr("qfsplit.report.height_search", fail)
@@ -110,9 +110,10 @@ class TestCheck:
         ("batch", BUNDLED, "--config", "qfsplit.conf"),
         ("check", "--p", "3", "--slack", "3", "x^3 + y^4"),
         ("check", "--p", "3", "--config", "qfsplit.conf", "x^3 + y^4"),
+        ("check", "--p", "5", "--max-n", "1", "x^3+y^3+z^3"),
         ("witt", "add", "--p", "2", "--config", "qfsplit.conf", "(x; 1)", "(y; 1)"),
     ],
-    ids=["batch-jobs", "batch-slack", "batch-config", "check-slack", "check-config", "witt-config"],
+    ids=["batch-jobs", "batch-slack", "batch-config", "check-slack", "check-config", "check-max-n", "witt-config"],
 )
 def test_removed_settings_exit_two(argv):
     with pytest.raises(SystemExit) as exc:
@@ -297,16 +298,19 @@ class TestBatch:
         catalog = tmp_path / "catalog.jsonl"
         catalog.write_text(
             '{"name": "bad", "p": 3, "kind": "hypersurface", "poly": "0"}\n'
+            '{"name": "unit", "p": 5, "kind": "hypersurface", "poly": "x^3+y^3+z^3+1"}\n'
             '{"name": "good", "p": 2, "kind": "doublecover", "poly": "x*y"}\n'
         )
         out_path = tmp_path / "out.jsonl"
         code, out, _ = run_cli(capsys, "batch", str(catalog), "-o", str(out_path))
         assert code == 0
         lines = [json.loads(line) for line in out_path.read_text().splitlines()]
-        assert lines[0]["error"] is not None
-        assert lines[0]["flags"] == ["error"]
-        assert lines[1]["verdict"]["f_split"] is True
-        assert "1 error" in out
+        for bad in lines[:2]:
+            assert bad["error"] is not None
+            assert bad["flags"] == ["error"]
+        assert "zero constant term" in lines[1]["error"]
+        assert lines[2]["verdict"]["f_split"] is True
+        assert "2 error" in out
 
     def test_malformed_line_aborts_with_exit_two(self, capsys, tmp_path):
         catalog = tmp_path / "broken.jsonl"

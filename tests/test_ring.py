@@ -42,6 +42,16 @@ class TestParse:
             r5xy.parse("x + + y")
         assert err.value.position == 4
 
+    @pytest.mark.parametrize(
+        "text,position",
+        [("x^\u00b2", 2), ("x^\u0663", 2), ("\u0663*x", 0)],
+        ids=["superscript-exponent", "arabic-indic-exponent", "arabic-indic-coefficient"],
+    )
+    def test_only_ascii_digits(self, r5xy, text, position):
+        with pytest.raises(PolyParseError) as err:
+            r5xy.parse(text)
+        assert err.value.position == position
+
     def test_unknown_variable(self, r5xy):
         with pytest.raises(PolyParseError):
             r5xy.parse("x + w")
