@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--vars", help="comma-separated variables (hypersurface only)")
     check.add_argument("--json", action="store_true", help="emit the JSON report")
     check.add_argument("--explain", action="store_true", help="include intermediates")
-    check.add_argument("--timings", action="store_true", help="include timing_ms")
+    check.add_argument("--timings", action="store_true", help="include timing_ms (needs --json)")
     check.add_argument("poly", help="polynomial text (f, or g for a double cover)")
 
     batch = sub.add_parser("batch", help="analyze a JSON Lines catalog")
@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "subcommand", choices=("add", "mul", "teich", "delta", "identity")
     )
     witt.add_argument("--p", type=int, required=True)
-    witt.add_argument("--n", type=int, help="Witt length (default 2)")
+    witt.add_argument("--n", type=int, help="Witt length for add, mul and teich (default 2)")
     witt.add_argument("operands", nargs="+", help="polynomials, [f] lifts, or (a0; a1) vectors")
     return parser
 
@@ -83,6 +83,10 @@ def _witt_operand(text: str) -> tuple[str, list[str]]:
 
 
 def _cmd_check(args) -> int:
+    if args.timings and not args.json:
+        raise InputError("--timings needs --json: the text summary shows no time")
+    if args.kind == "doublecover" and args.vars is not None:
+        raise InputError("--vars is for hypersurfaces: a double cover is always in x, y")
     entry = CatalogEntry(
         name="cli", p=args.p, kind=args.kind, poly=args.poly, tags=()
     )
@@ -163,6 +167,8 @@ def _cmd_witt(args) -> int:
         print(result.render())
         return 0
 
+    if sub != "teich" and args.n is not None:
+        raise InputError(f"witt {sub} takes no --n")
     if len(operands) != 1:
         raise InputError(f"witt {sub} takes exactly one operand")
     _, comps = _witt_operand(operands[0])

@@ -94,9 +94,13 @@ def quasi2_test(f: Poly) -> Verdict:
     """Height-2 test: F-split, or f^{p^2-p-1} * delta(f) outside
     (x_1^{p^2}, ..., x_n^{p^2}).  Both clause products, and delta(f) itself,
     are computed in the quotient by that ideal, so each witness is the part
-    of its clause polynomial outside the ideal.  delta_carry runs once per
-    clause-2 evaluation even when the power factor is already 0, so the
-    benchmark's trace counts one delta per clause-2 entry."""
+    of its clause polynomial outside the ideal.  The power factor is split
+    as f^{p^2-p-1} = F(f^{p-2}) * f^{p-1}: F(f^{p-2} mod m^[p]) is already
+    reduced mod m^[p^2], and f^{p-1} mod m^[p^2] is computed only when that
+    Frobenius factor is nonzero.
+    delta_carry runs once per clause-2 evaluation even when the power
+    factor is 0, so the benchmark's trace counts one delta per clause-2
+    entry."""
     p = f.ring.char
     q = p * p
     clause1_poly, split = _clause1(f)
@@ -108,7 +112,10 @@ def quasi2_test(f: Poly) -> Verdict:
             witnesses={"clause1": clause1_poly},
             flags=flags,
         )
-    clause2_poly = f.pow_trunc(q - p - 1, q).mul_trunc(delta_carry(f, q), q)
+    power = f.pow_trunc(p - 2, p).frobenius_power()
+    if power:
+        power = power.mul_trunc(f.pow_trunc(p - 1, q), q)
+    clause2_poly = power.mul_trunc(delta_carry(f, q), q)
     return Verdict(
         f_split=False,
         quasi2=not clause2_poly.is_zero(),

@@ -12,8 +12,6 @@ verdict is whether that carry class escapes the image of Frobenius.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil
 
 from . import linalg, witt
 from .criteria import Verdict
@@ -270,9 +268,9 @@ class MembershipResult:
 
 
 def _candidate_bound(cover: DoubleCover) -> int:
+    """ceil((p^2 + (p-1)/2 * deg g + p) / p), in integers."""
     p = cover.p
-    growth = Fraction(p - 1, 2) * cover.g.total_degree()
-    return max(1, ceil((Fraction(p * p) + growth + p) / p))
+    return -(-(2 * p * p + (p - 1) * cover.g.total_degree() + 2 * p) // (2 * p))
 
 
 def frobenius_image_membership(eta: H2Class, cover: DoubleCover) -> MembershipResult:
@@ -314,8 +312,13 @@ def frobenius_image_membership(eta: H2Class, cover: DoubleCover) -> MembershipRe
 
 
 def has_isolated_singularity(cover: DoubleCover) -> bool:
-    """Heuristic Jacobian check: the singular locus of z^2 + g is finite iff
-    some pure powers x^N, y^N lie in (g_x, g_y) (+ (g) when p is odd).
+    """Jacobian check that the origin is the only singular point of the
+    affine surface z^2 + g = 0: True when some pure powers x^N, y^N lie in
+    (g_x, g_y) (+ (g) when p is odd), so those generators vanish nowhere
+    else in the (x, y)-plane.  The test is global, not local: a cover whose
+    singularity at the origin is isolated but which has a second singular
+    point gives False (z^2 + y^2 - x^2 (x-1)^2 at p = 5, also singular at
+    (1, 0)).  False also follows when no such powers appear below the cap.
 
     For N = 1, 2, ... up to (d-1)^2 + d, the span of the multiples
     x^u y^v * gen with u + v <= N + d is tested for x^N and y^N.  One

@@ -147,16 +147,14 @@ def _membership_intermediates(analysis: LocalCohAnalysis) -> dict[str, Any]:
             "bound": membership.bound,
             "escalations": membership.escalations,
         }
-        if membership.coefficients is not None:
-            cert["coefficients"] = {
-                f"z^{eps}/(x^{i}*y^{j})": c
-                for (eps, i, j), c in sorted(membership.coefficients.items())
-            }
-        if membership.witness is not None:
-            cert["witness_row"] = {
-                f"z^{eps}/(x^{i}*y^{j})": c
-                for (eps, i, j), c in sorted(membership.witness.items())
-            }
+        for name, labelled in (
+            ("coefficients", membership.coefficients),
+            ("witness_row", membership.witness),
+        ):
+            if labelled is not None:
+                cert[name] = {
+                    f"z^{eps}/(x^{i}*y^{j})": c for (eps, i, j), c in sorted(labelled.items())
+                }
         out["membership"] = cert
     return out
 

@@ -293,11 +293,16 @@ class Poly:
         left = self.truncate(q)._terms
         return Poly(self.ring, self._accumulate(zip(left.items(), map(partners, left))), _internal=True)
 
-    def scale_exponents(self, factor: int) -> "Poly":
-        """Multiply every exponent by ``factor``; over F_p with factor p^k this
-        equals the p^k-th power because c^p = c."""
-        if factor == 1:
+    def frobenius_power(self, k: int = 1) -> "Poly":
+        """The p^k-th power, by multiplying every exponent by p^k: over F_p
+        each coefficient c has c^p = c.  k = 0 returns self; prime
+        characteristic only."""
+        p = self.ring.char
+        if not p:
+            raise ValueError("frobenius_power needs prime characteristic")
+        if k == 0:
             return self
+        factor = p**k
         out = {}
         for exps, c in self._terms.items():
             new = tuple(e * factor for e in exps)
@@ -305,13 +310,6 @@ class Poly:
                 raise ExponentOverflowError("exponent overflow in Frobenius power")
             out[new] = c
         return Poly(self.ring, out, _internal=True)
-
-    def frobenius_power(self, k: int = 1) -> "Poly":
-        """The p^k-th power via exponent scaling (prime characteristic only)."""
-        p = self.ring.char
-        if not p:
-            raise ValueError("frobenius_power needs prime characteristic")
-        return self.scale_exponents(p**k)
 
     def _pow_binary(self, e: int, mul=operator.mul) -> "Poly":
         result = self.ring.one()
@@ -324,6 +322,9 @@ class Poly:
         return result
 
     def __pow__(self, e: int) -> "Poly":
+        """f^e; over F_p, f^e = prod_k (f^{d_k})^{p^k} over the base-p digits
+        d_k of e, each outer power a Frobenius power: exact and far cheaper
+        than binary powering for Frobenius-sized exponents."""
         if e < 0:
             raise ValueError("negative exponent")
         if e == 0:
@@ -331,49 +332,23 @@ class Poly:
         if e == 1:
             return self
         p = self.ring.char
-        if p and e >= p:
-            result = self.ring.one()
-            for d, scale in self._digits(e):
-                result = result * self._pow_binary(d).scale_exponents(scale)
-            return result
-        return self._pow_binary(e)
-
-    def _digits(self, e: int) -> Iterator[tuple[int, int]]:
-        """(d_k, p^k) for each nonzero base-p digit d_k of e (e itself, with
-        scale 1, over Z).
-
-        f^e = prod_k (f^{d_k})^{p^k}, and over F_p each outer power is a
-        plain exponent scaling; exact and far cheaper than binary
-        exponentiation for Frobenius-sized exponents.
-        """
-        p = self.ring.char
-        if not p:
-            yield e, 1
-            return
-        scale = 1
+        if not p or e < p:
+            return self._pow_binary(e)
+        result = self.ring.one()
+        k = 0
         while e:
             e, d = divmod(e, p)
             if d:
-                yield d, scale
-            scale *= p
+                result = result * self._pow_binary(d).frobenius_power(k)
+            k += 1
+        return result
 
     def pow_trunc(self, e: int, q: int) -> "Poly":
-        """(self ** e).truncate(q).  Each digit power f^{d_k} is computed
-        with exponents below ceil(q / p^k) before it is scaled by p^k: a
-        larger exponent scales to one of at least q.  The digits go from
-        the most significant down, whose factors are the cheapest (their
-        bound is the smallest), and the first zero partial product ends the
-        loop without computing the lower digits' factors."""
+        """(self ** e).truncate(q) for q >= 1, by binary powering with every
+        product taken by mul_trunc(., q)."""
         if e < 0:
             raise ValueError("negative exponent")
-        result = self.ring.one().truncate(q)
-        for d, scale in reversed(list(self._digits(e))):
-            if not result:
-                break
-            bound = -(-q // scale)
-            factor = self._pow_binary(d, lambda a, b: a.mul_trunc(b, bound))
-            result = result.mul_trunc(factor.scale_exponents(scale), q)
-        return result
+        return self._pow_binary(e, lambda a, b: a.mul_trunc(b, q))
 
     def derivative(self, name: str) -> "Poly":
         i = self.ring.var_index(name)

@@ -260,9 +260,7 @@ def _times_generator(r: tuple[int, int, int], index: int, neg_g: dict) -> dict:
     """nf(t * r) for the generator t = (x, y, z)[index] and a monomial r of
     z-degree <= 1: bump one exponent, and when z reaches 2 use z^2 = -g,
     one shift of -g (the term map neg_g)."""
-    bumped = list(r)
-    bumped[index] += 1
-    u, v, w = bumped
+    u, v, w = _bumped(r, index, 1)
     if w == 2:
         return _shift(neg_g, u, v)
     return {(u, v, w): 1}

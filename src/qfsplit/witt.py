@@ -365,13 +365,14 @@ def delta_carry(f: Poly, q: int | None = None) -> Poly:
 
 def eval_at_teichmuller(f: Poly, n: int) -> WittVector:
     """f([x_1], ..., [x_n]) in W_n: substitute Teichmuller lifts of the
-    variables and lift each coefficient through its Teichmuller constant."""
+    variables and lift each coefficient through its Teichmuller constant,
+    that is, the sum of the lifts [c x^e] of f's terms, taken by one _sum."""
     ring = f.ring
-    result = WittVector.zero(ring, n)
-    for exps, c in f.terms():
-        mono = ring.from_terms({exps: c})
-        result = result + WittVector.teichmuller(mono, n)
-    return result
+    lifts = [
+        WittVector.teichmuller(ring.from_terms({exps: c}), n).components
+        for exps, c in f.terms()
+    ]
+    return WittVector(ring, _sum(ring, n, lifts))
 
 
 def teichmuller_identity_sides(f: Poly) -> tuple[WittVector, WittVector]:

@@ -121,6 +121,23 @@ def test_removed_settings_exit_two(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("check", "--p", "7", "--timings", "x^3+y^3+z^3"), "--timings"),
+        (("check", "--p", "3", "--kind", "doublecover", "--vars", "u,v", "x^3 + y^4"), "--vars"),
+        (("witt", "delta", "--p", "3", "--n", "3", "x^3 + y^4"), "--n"),
+        (("witt", "identity", "--p", "2", "--n", "3", "x + y"), "--n"),
+    ],
+    ids=["check-timings-text", "doublecover-vars", "witt-delta-n", "witt-identity-n"],
+)
+def test_idle_options_exit_two(capsys, argv, option):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert option in err
+
+
 class TestWittCommands:
     def test_delta(self, capsys):
         code, out, _ = run_cli(capsys, "witt", "delta", "--p", "3", "x^3 + y^4")

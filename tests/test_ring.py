@@ -202,4 +202,12 @@ class TestRingContext:
         ring = PolyRing(2, ("x",))
         f = ring.monomial({"x": 2**40})
         with pytest.raises(ExponentOverflowError):
-            f.scale_exponents(2**40)
+            f.frobenius_power(40)
+
+    def test_frobenius_power_zero_is_identity_and_needs_prime_char(self, r5xy):
+        f = r5xy.parse("x^2 + 3*x*y + 1")
+        assert f.frobenius_power(0) is f
+        lifted = f.lift_integers()
+        for k in (0, 1):
+            with pytest.raises(ValueError):
+                lifted.frobenius_power(k)

@@ -117,7 +117,8 @@ def test_pow_trunc_is_truncated_power(case, data):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_pow_trunc_on_every_small_bound(p):
-    # bounds that p^k does not divide, where the digit cut must round up
+    # every bound up to 2p + 1, divisible by p or not, for every exponent up
+    # to clause 2's p^2 - p - 1
     f = PolyRing(p, ("x", "y")).parse("x^2 + x*y + y + 1")
     for e in range(p * p - p):
         full = f**e

@@ -292,3 +292,14 @@ class TestDeltaCarry:
             r3.parse("y^4"), 2
         )
         assert value == direct
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_eval_at_teichmuller_is_the_sum_of_term_lifts(self, rng, p, n):
+        ring = PolyRing(p, ("x", "y"))
+        for _ in range(8):
+            f = random_poly(rng, ring, max_terms=4, max_exp=3)
+            expected = WittVector.zero(ring, n)
+            for exps, c in f.terms():
+                expected = expected + WittVector.teichmuller(ring.from_terms({exps: c}), n)
+            assert eval_at_teichmuller(f, n) == expected
