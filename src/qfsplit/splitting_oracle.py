@@ -25,11 +25,16 @@ Frobenius-image code paths:
 * `splitting_search` looks for the splitting itself: a graded module
   homomorphism alpha: Q -> R with alpha(Phi(1)) = 1, solved for on the
   truncated graded pieces of a quasi-homogeneous cover.  Feasibility of
-  the truncated system is decided by exact linear algebra; the unknown
-  count grows like p^4, so this route is for small primes.  Every module
-  move t.b comes from a table built once per call: a shifted monomial, or
-  a shift of the search's own nf(z^{p+eps}), nf(delta(nf(z^{p+eps}))) or
-  nf(z^{p^2+eps}), then one K_2 reduction.
+  the truncated system is decided by exact linear algebra; the window
+  grows like p^4, so this route is for small primes.  Every module move
+  t.b comes from a table built once per call: a shifted monomial, or a
+  shift of the search's own nf(z^{p+eps}), nf(delta(nf(z^{p+eps}))) or
+  nf(z^{p^2+eps}), then one K_2 reduction.  Only the block of the phi row
+  is built, walking out from alpha(1) through the rows that hold each
+  unknown (forward by t*r, backward by a reverse index of the move
+  table); the window's system is the direct sum of its blocks and the
+  right-hand side lies in phi's, so that block alone decides feasibility.
+  Rows and columns go to the solver in ascending weighted degree.
 
 Both routes only ask whether a system is feasible, so they solve without
 the infeasibility witness (``witness=False``).
@@ -309,29 +314,40 @@ def _bumped(b: tuple[int, int, int], index: int, amount: int) -> tuple[int, int,
     return tuple(exps)
 
 
-def splitting_search(cover: DoubleCover) -> bool:
-    """Feasibility of a graded splitting alpha: Q_{R,2} -> R on a window.
+class ShallowWindowError(ValueError):
+    """The search window 4 p^2 lies below w_z: no equation involves z, so
+    the search would decide nothing."""
 
-    Coordinates on Q are slot 0 (first Witt component, delta-twisted into
-    slot 1) and slot 1 (the V-part modulo p-th powers); with Q-degrees
-    scaled by p^2, slot-0 classes of a monomial m sit at p * wdeg(m) and
-    slot-1 classes at wdeg(m).  A graded alpha vanishes off the lattice of
-    degrees divisible by p^2 and the module action preserves the lattice,
-    so the unknowns are the values alpha(b) in R at degree deg(b)/p^2 for
-    lattice basis elements b, subject to alpha(t.b) = t*alpha(b) for
-    t in {x, y, z} and alpha(class(1, 0)) = 1.  The window is weighted
-    R-degree <= 4 p^2.  The equations need t*r for every generator t and
-    window monomial r of z-degree <= 1; ``_times_generator`` builds each one
-    directly, one bumped exponent or, when z reaches 2, one shift of -g.
-    They also need the coordinates of every module move t.b, which
-    ``_module_moves`` reads off a table of shifted normal forms built once
-    per call, with no polynomial product and no delta per move.
-    Infeasibility certifies that no splitting exists; feasibility is the
-    windowed converse, validated against the other routes on the corpus.
-    """
+
+def _preimages(out: tuple[int, int, int], index: int, neg_g: dict):
+    """The monomials r of z-degree <= 1 whose ``_times_generator`` image
+    holds the monomial out, with the coefficient of out there: for x or y,
+    out with that exponent lowered by one; for z, out with w = 1 dropped to
+    w = 0, or, when w = 0, out minus a term of -g with w raised to 1."""
+    if index < 2:
+        if out[index]:
+            yield _bumped(out, index, -1), 1
+        return
+    x, y, w = out
+    if w:
+        yield (x, y, 0), 1
+        return
+    for (s, t, _), c in neg_g.items():
+        if s <= x and t <= y:
+            yield (x - s, y - t, 1), c
+
+
+def _splitting_system(cover: DoubleCover) -> tuple[dict, dict]:
+    """The system ``splitting_search`` solves: unknown -> column, in
+    ascending weighted degree, and the right-hand side, for the block of
+    the window's system that holds the phi row.  See ``splitting_search``."""
     p = cover.p
     weights = quasi_homogeneous_weights(cover)
     degree_cap = 4 * p * p  # weighted R-degree window
+    if weights[2] > degree_cap:
+        raise ShallowWindowError(
+            f"w_z = {weights[2]} exceeds the window 4p^2 = {degree_cap} for {cover.g.render()}"
+        )
     q_cap = p * p * degree_cap
 
     zp = _z_power_normal_form(cover)
@@ -343,63 +359,106 @@ def splitting_search(cover: DoubleCover) -> bool:
         scale = p if slot == "0" else 1
         return scale * _weighted_degree(exps, weights)
 
-    slot0 = [m for m in slot0_window if q_degree("0", m) % (p * p) == 0]
     # a monomial reduces to itself modulo K_2 iff it is no pivot of K_2
-    slot1 = [
-        m
+    basis = {("0", m) for m in slot0_window if q_degree("0", m) % (p * p) == 0} | {
+        ("1", m)
         for m in _monomials_of_weight_at_most(weights, q_cap)
         if q_degree("1", m) % (p * p) == 0 and m not in k2.rows
-    ]
-
-    r_cache: dict[int, list] = {}
-
-    def r_basis(degree: int) -> list:
-        if degree not in r_cache:
-            r_cache[degree] = [
-                m
-                for m in _monomials_of_weight_at_most(weights, degree)
-                if _weighted_degree(m, weights) == degree
-            ]
-        return r_cache[degree]
-
-    columns: dict[tuple, dict] = {
-        ((slot, b), r): {}
-        for slot, basis in (("0", slot0), ("1", slot1))
-        for b in basis
-        for r in r_basis(q_degree(slot, b) // (p * p))
     }
-
-    def add_term(row_key, unknown_key, coeff) -> None:
-        if unknown_key not in columns:
-            return
-        column = columns[unknown_key]
-        value = (column.get(row_key, 0) + coeff) % p
-        if value:
-            column[row_key] = value
-        elif row_key in column:
-            del column[row_key]
+    moves = {
+        (slot, b, index): move(slot, b, index)
+        for slot, b in basis
+        for index in range(3)
+        if q_degree(slot, b) // (p * p) + weights[index] <= degree_cap
+    }
+    incoming: dict[tuple, list] = {}
+    for equation, image in moves.items():
+        for target in image:
+            incoming.setdefault(target, []).append(equation)
 
     neg_g = cover.neg_g.term_map()
-    cid = 0
-    for slot, basis in (("0", slot0), ("1", slot1)):
-        for b in basis:
-            source_degree = q_degree(slot, b) // (p * p)
-            for index in range(3):
-                if source_degree + weights[index] > degree_cap:
-                    continue
-                # alpha(t.b) - t*alpha(b) = 0 over R-monomials
-                for (mslot, mb), coeff in move(slot, b, index).items():
-                    for r in r_basis(q_degree(mslot, mb) // (p * p)):
-                        add_term((cid, r), ((mslot, mb), r), coeff)
-                for r in r_basis(source_degree):
-                    for exps, c in _times_generator(r, index, neg_g).items():
-                        add_term((cid, exps), ((slot, b), r), -c)
-                cid += 1
+
+    def rows_holding(unknown):
+        source, r = unknown
+        for index in range(3):
+            equation = (*source, index)
+            if equation in moves:
+                for out in _times_generator(r, index, neg_g):
+                    yield equation, out
+        for equation in incoming.get(source, ()):
+            yield equation, r
+
+    def row(equation, out) -> dict:
+        """alpha(t.b) - t*alpha(b) = 0 at the R-monomial out."""
+        slot, b, index = equation
+        entries = {(target, out): c for target, c in moves[equation].items() if target in basis}
+        for r, c in _preimages(out, index, neg_g):
+            entries[((slot, b), r)] = -c % p
+        return entries
 
     # the unit's unknown is always present: slot 0 and R both start at degree 0
-    add_term(("phi", (0, 0, 0)), (("0", (0, 0, 0)), (0, 0, 0)), 1)
-    rhs = {("phi", (0, 0, 0)): 1}
+    unit = (("0", (0, 0, 0)), (0, 0, 0))
+    rows: dict[tuple, dict] = {}
+    seen, frontier = {unit}, [unit]
+    while frontier:
+        for at in rows_holding(frontier.pop()):
+            if at not in rows:
+                rows[at] = entries = row(*at)
+                fresh = entries.keys() - seen
+                seen |= fresh
+                frontier.extend(fresh)
 
-    ordered = sorted(columns, key=repr)
-    solution, _ = solve([columns[key] for key in ordered], rhs, p, witness=False)
+    # a fixed-width degree string first makes repr order degree order
+    width = len(str(degree_cap))
+    phi = (f"{0:0{width}d}", "phi", (0, 0, 0))
+    ordered = sorted(seen, key=lambda unknown: (_weighted_degree(unknown[1], weights), unknown))
+    columns = {unknown: {} for unknown in ordered}
+    columns[unit][phi] = 1
+    for (equation, out), entries in rows.items():
+        name = (f"{_weighted_degree(out, weights):0{width}d}", equation, out)
+        for unknown, c in entries.items():
+            columns[unknown][name] = c
+    return columns, {phi: 1}
+
+
+def splitting_search(cover: DoubleCover) -> bool:
+    """Feasibility of a graded splitting alpha: Q_{R,2} -> R on a window.
+
+    Coordinates on Q are slot 0 (first Witt component, delta-twisted into
+    slot 1) and slot 1 (the V-part modulo p-th powers); with Q-degrees
+    scaled by p^2, slot-0 classes of a monomial m sit at p * wdeg(m) and
+    slot-1 classes at wdeg(m).  A graded alpha vanishes off the lattice of
+    degrees divisible by p^2 and the module action preserves the lattice,
+    so the unknowns are the values alpha(b) in R at degree deg(b)/p^2 for
+    lattice basis elements b, subject to alpha(t.b) = t*alpha(b) for
+    t in {x, y, z} and alpha(class(1, 0)) = 1.  The window is weighted
+    R-degree <= 4 p^2; a cover with w_z above it raises
+    ``ShallowWindowError``, since no equation would involve z.
+
+    Only the block of the phi row is built: the unknowns and equation rows
+    joined to phi's unknown alpha(1) by chains of rows sharing an unknown.
+    The walk goes unknown -> rows holding it -> their unknowns.  An unknown
+    ((slot, b), r) sits in the rows of the equations of b at each t*r
+    (``_times_generator``), and in the rows at r of every equation whose
+    module move t.b' holds (slot, b), read off a reverse index of the move
+    table (``_module_moves``, every move of the window computed once).  Each
+    reached row is built in full by inverting t*r'' on its R-monomial
+    (``_preimages``).  The walked set is ``linalg._rhs_block`` of the whole
+    window, found without building the rest, and it decides feasibility
+    exactly: the window's system is the union of its blocks, which share
+    no unknown and no row, and the right-hand side lies in phi's block.  A
+    solution of the window restricts to one of phi's block, and a solution
+    of phi's block, extended by 0, solves every other block's homogeneous
+    rows.
+
+    Rows are named (degree, equation, R-monomial) with a fixed-width degree
+    string, so the solver's repr order of rows is ascending weighted degree
+    with phi's row first; the columns are passed in ascending degree too.
+    A row of degree d holds only unknowns of degree <= d, so each row is
+    eliminated against pivots of its own degree or below.  Infeasibility
+    certifies that no splitting exists; feasibility is the windowed
+    converse, validated against the other routes on the corpus.
+    """
+    columns, rhs = _splitting_system(cover)
+    solution, _ = solve(list(columns.values()), rhs, cover.p, witness=False)
     return solution is not None

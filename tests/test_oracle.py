@@ -1,10 +1,13 @@
+from collections import Counter
+
 import pytest
 
-from qfsplit.linalg import GaussianBasis, solve
+from qfsplit.linalg import GaussianBasis, _rhs_block, solve
 from qfsplit.localcoh import DoubleCover, analyze, reduce_modulo_cover
 from qfsplit.ring import PolyRing
 from qfsplit.splitting_oracle import (
     NotQuasiHomogeneousError,
+    ShallowWindowError,
     _CechLevels,
     _k2_reducer,
     _k2_row,
@@ -12,7 +15,9 @@ from qfsplit.splitting_oracle import (
     _module_moves,
     _monomials_of_weight_at_most,
     _shift,
+    _splitting_system,
     _times_generator,
+    _weighted_degree,
     _z_power_normal_form,
     quasi2_cech_oracle,
     quasi_homogeneous_weights,
@@ -99,11 +104,140 @@ class TestPrimalSplittingSearch:
             ("D5", 2, "x^2*y + y^4"),
             ("E7", 2, "x^3 + x*y^3"),
             ("E6", 3, "x^3 + y^4"),
+            ("A2", 3, "x^2 + y^3"),
+            ("D4", 3, "x^2*y + y^3"),
         ],
     )
     def test_agrees_with_engine(self, name, p, text):
         cover = make_cover(p, text)
         assert splitting_search(cover) == analyze(cover).verdict.quasi2
+
+    def test_window_below_w_z_is_refused(self):
+        # z^2 + x^3 + y^7 at p = 2 has weights (14, 6, 21): the window
+        # 4p^2 = 16 holds no z, so the search's block would be phi's column
+        # alone and answer True, while the cover is not 2-quasi-F-split
+        cover = make_cover(2, "x^3 + y^7")
+        assert quasi_homogeneous_weights(cover)[2] > 4 * 2 * 2
+        assert analyze(cover).verdict.quasi2 is False
+        with pytest.raises(ShallowWindowError):
+            splitting_search(cover)
+        assert issubclass(ShallowWindowError, ValueError)
+
+
+SEARCH_CASES = [
+    ("A1", 2, "x*y"),
+    ("D5", 2, "x^2*y + y^4"),
+    ("E7", 2, "x^3 + x*y^3"),
+    ("E6", 3, "x^3 + y^4"),
+]
+
+
+def full_window_system(cover):
+    """Every equation of the search's window, with rows named (equation
+    counter, R-monomial): the whole system whose phi block
+    ``_splitting_system`` builds.  Returns the unknowns in repr order, their
+    columns and the right-hand side."""
+    p = cover.p
+    weights = quasi_homogeneous_weights(cover)
+    degree_cap = 4 * p * p
+    q_cap = p * p * degree_cap
+    zp = _z_power_normal_form(cover)
+    slot0_window = _monomials_of_weight_at_most(weights, q_cap // p)
+    k2 = _k2_reducer(p, zp, slot0_window)
+    move = _module_moves(cover, k2, zp)
+
+    def q_degree(slot, exps):
+        return (p if slot == "0" else 1) * _weighted_degree(exps, weights)
+
+    slot0 = [m for m in slot0_window if q_degree("0", m) % (p * p) == 0]
+    slot1 = [
+        m
+        for m in _monomials_of_weight_at_most(weights, q_cap)
+        if q_degree("1", m) % (p * p) == 0 and m not in k2.rows
+    ]
+
+    def r_basis(degree):
+        return [
+            m
+            for m in _monomials_of_weight_at_most(weights, degree)
+            if _weighted_degree(m, weights) == degree
+        ]
+
+    columns = {
+        ((slot, b), r): {}
+        for slot, basis in (("0", slot0), ("1", slot1))
+        for b in basis
+        for r in r_basis(q_degree(slot, b) // (p * p))
+    }
+
+    def add_term(row_key, unknown_key, coeff):
+        if unknown_key not in columns:
+            return
+        column = columns[unknown_key]
+        value = (column.get(row_key, 0) + coeff) % p
+        if value:
+            column[row_key] = value
+        elif row_key in column:
+            del column[row_key]
+
+    neg_g = cover.neg_g.term_map()
+    cid = 0
+    for slot, basis in (("0", slot0), ("1", slot1)):
+        for b in basis:
+            source_degree = q_degree(slot, b) // (p * p)
+            for index in range(3):
+                if source_degree + weights[index] > degree_cap:
+                    continue
+                for (mslot, mb), coeff in move(slot, b, index).items():
+                    for r in r_basis(q_degree(mslot, mb) // (p * p)):
+                        add_term((cid, r), ((mslot, mb), r), coeff)
+                for r in r_basis(source_degree):
+                    for exps, c in _times_generator(r, index, neg_g).items():
+                        add_term((cid, exps), ((slot, b), r), -c)
+                cid += 1
+    add_term(("phi", (0, 0, 0)), (("0", (0, 0, 0)), (0, 0, 0)), 1)
+    unknowns = sorted(columns, key=repr)
+    return unknowns, [columns[key] for key in unknowns], {("phi", (0, 0, 0)): 1}
+
+
+def row_contents(unknowns, columns, rhs):
+    """The system's rows with their names forgotten: a multiset of
+    {(unknown, coefficient)} sets, each with its right-hand side."""
+    rows = {}
+    for unknown, column in zip(unknowns, columns):
+        for key, c in column.items():
+            rows.setdefault(key, {rhs.get(key, 0)}).add((unknown, c))
+    return Counter(frozenset(row) for row in rows.values())
+
+
+@pytest.mark.parametrize("name,p,text", SEARCH_CASES)
+def test_walked_block_is_the_rhs_block(name, p, text):
+    cover = make_cover(p, text)
+    unknowns, columns, rhs = full_window_system(cover)
+    block = _rhs_block(columns, rhs)
+    assert len(block) < len(columns)
+    walked, walked_rhs = _splitting_system(cover)
+    assert set(walked) == {unknowns[j] for j in block}
+    assert row_contents(walked, walked.values(), walked_rhs) == row_contents(
+        [unknowns[j] for j in block], [columns[j] for j in block], rhs
+    )
+
+
+@pytest.mark.parametrize("name,p,text", SEARCH_CASES)
+def test_search_system_is_in_degree_order(name, p, text):
+    # rows named (degree, equation, R-monomial): repr order must be weighted
+    # degree order with phi's row first, and columns go in degree order too
+    cover = make_cover(p, text)
+    weights = quasi_homogeneous_weights(cover)
+    columns, rhs = _splitting_system(cover)
+    column_degrees = [_weighted_degree(r, weights) for _source, r in columns]
+    assert column_degrees == sorted(column_degrees)
+    rows = sorted({key for column in columns.values() for key in column}, key=repr)
+    assert list(rhs) == rows[:1]
+    row_degrees = [_weighted_degree(key[-1], weights) for key in rows]
+    assert row_degrees == sorted(row_degrees)
+    for (_source, r), column in columns.items():
+        assert all(_weighted_degree(r, weights) <= _weighted_degree(key[-1], weights) for key in column)
 
 
 @pytest.mark.parametrize("p", [3, 5])
