@@ -12,12 +12,9 @@ i-th equation at key ``ncols + 1 + i``.  Tail keys are never pivots, so the
 tail carries along exactly the multipliers that produced each reduced row,
 and leaving the multipliers off changes no pivot and no coefficient.
 
-``solve`` eliminates only the block of the right-hand side: the columns
-reached from the keys of rhs by walking key -> columns containing it ->
-their keys.  Blocks share no key, so a row of one block only ever meets
-pivot rows of the same block, in the same relative order as in the full
-system; every other column keeps coefficient 0, and an infeasible system
-yields the same first ``0 = nonzero`` row with the same multipliers.
+``solve`` eliminates only the block of the right-hand side (see
+``block``), and the two double-cover oracles build only the block they
+test.
 """
 
 from __future__ import annotations
@@ -114,24 +111,43 @@ def _back_substitute(rows: dict, x: list, p: int) -> list:
     return x
 
 
+def block(keys, holders, entries) -> tuple[dict, set]:
+    """The block of a sparse system reached from keys: walk key -> the rows
+    holding it (``holders(key)``) -> their keys (``entries(row)``, a mapping).
+    Returns row -> entries(row) for every row reached, and the set of keys
+    reached; no row outside holds a reached key.
+
+    A block decides its system exactly.  The system is the direct sum of its
+    blocks, which share no row and no key, so feasibility, span membership
+    and the canonical remainder (``GaussianBasis.reduce``) all split by
+    block: a vector whose keys lie in one block is reduced, or combined,
+    by that block's rows exactly as by the whole system's, and the other
+    blocks could only cancel among themselves.  Eliminating a block alone
+    also meets the same pivots in the same relative order as the whole
+    system does, so ``solve`` returns the same coefficients (0 off the
+    block) and the same first ``0 = nonzero`` row with the same multipliers.
+    """
+    rows: dict = {}
+    seen = set(keys)
+    frontier = list(seen)
+    while frontier:
+        for row in holders(frontier.pop()):
+            if row not in rows:
+                rows[row] = found = entries(row)
+                fresh = found.keys() - seen
+                seen |= fresh
+                frontier.extend(fresh)
+    return rows, seen
+
+
 def _rhs_block(columns: Sequence[dict], rhs: dict) -> list[int]:
-    """Indices, in increasing order, of the columns connected to a key of rhs
-    in the bipartite graph joining each column to the keys it contains."""
+    """Indices, in increasing order, of the columns in the ``block`` of the
+    keys of rhs, each column a row of the transposed system."""
     holders: dict = {}
     for j, col in enumerate(columns):
         for key in col:
             holders.setdefault(key, []).append(j)
-    reached: set[int] = set()
-    seen = set(rhs)
-    frontier = list(rhs)
-    while frontier:
-        for j in holders.get(frontier.pop(), ()):
-            if j not in reached:
-                reached.add(j)
-                for key in columns[j]:
-                    if key not in seen:
-                        seen.add(key)
-                        frontier.append(key)
+    reached, _ = block(rhs, lambda key: holders.get(key, ()), columns.__getitem__)
     return sorted(reached)
 
 
@@ -144,12 +160,8 @@ def solve(columns: Sequence[dict], rhs: dict, p: int, *, witness: bool = True):
     ``witness=False`` the multipliers are not carried, an infeasible system
     returns (None, None), and the coefficients are the same.
 
-    Only the block of rhs is eliminated (see ``_rhs_block``); the other
-    columns are treated as empty.  That is exact: no key of rhs lies outside
-    the block, other blocks could only ever cancel among themselves, and
-    within the block the rows meet the same pivots in the same order as in
-    the whole system, so the coefficients (0 off the block), the
-    feasibility and the witness are those of the whole system.
+    Only the block of rhs is eliminated (``_rhs_block``); the other columns
+    are treated as empty, which changes no answer (see ``block``).
     """
     n = len(columns)
     equations = _equations(((j, columns[j]) for j in _rhs_block(columns, rhs)), rhs)

@@ -16,11 +16,10 @@ Frobenius-image code paths:
   the socle numerator, by re-keying a shift of that one normal form.  The
   delta twist of a numerator shifted by a monomial m is m^p times that of
   nf(z^p), so one delta per call serves both levels.  Each level builds
-  only the K_2 rows of its box that are joined to the twist's support by
-  chains of rows sharing a key (the twist's raw-row component), found by
-  reverse lookup from the keys; the box's row space is the direct sum of
-  its components' row spaces, so that basis reduces the twist and every
-  column that can meet it exactly as the whole box would.
+  only the ``linalg.block`` of the twist's support among the K_2 rows of
+  its box (its raw-row component), found by reverse lookup from the keys,
+  and tests the twist for membership in one span: those rows plus the
+  component's slot-range monomials.
 
 * `splitting_search` looks for the splitting itself: a graded module
   homomorphism alpha: Q -> R with alpha(Phi(1)) = 1, solved for on the
@@ -29,22 +28,19 @@ Frobenius-image code paths:
   grows like p^4, so this route is for small primes.  Every module move
   t.b comes from a table built once per call: a shifted monomial, or a
   shift of the search's own nf(z^{p+eps}), nf(delta(nf(z^{p+eps}))) or
-  nf(z^{p^2+eps}), then one K_2 reduction.  Only the block of the phi row
-  is built, walking out from alpha(1) through the rows that hold each
-  unknown (forward by t*r, backward by a reverse index of the move
-  table); the window's system is the direct sum of its blocks and the
-  right-hand side lies in phi's, so that block alone decides feasibility.
-  Rows and columns go to the solver in ascending weighted degree.
-
-Both routes only ask whether a system is feasible, so they solve without
-the infeasibility witness (``witness=False``).
+  nf(z^{p^2+eps}), then one K_2 reduction.  Only the ``linalg.block`` of
+  the phi row is built, walking out from alpha(1) through the rows that
+  hold each unknown (forward by t*r, backward by a reverse index of the
+  move table).  Rows and columns go to the solver in ascending weighted
+  degree, and it solves without the infeasibility witness
+  (``witness=False``), since only feasibility is asked.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import GaussianBasis, solve
+from .linalg import GaussianBasis, block, solve
 from .localcoh import DoubleCover, reduce_modulo_cover
 from .witt import delta_carry
 
@@ -107,14 +103,10 @@ class _CechLevels:
     shared by both levels.
 
     A level tests its delta twist only against the K_2 rows of its box's
-    raw-row component: the rows joined to the twist's support by chains of
-    rows that share a key, found by a walk with ``_k2_rows_holding``.  This
-    is exact.  The box's row space is the direct sum of the row spaces of
-    its raw components, so GaussianBasis.reduce (the canonical remainder)
-    reduces a vector inside one component against that component's rows
-    exactly as against the whole box; and the span test splits by
-    component, so the columns outside the twist's component could only
-    cancel among themselves and are dropped.
+    raw-row component: the ``linalg.block`` of the twist's support, walked
+    with ``_k2_rows_holding``.  Span membership splits by block, so this is
+    the whole box's answer; a slot-range monomial holds one key, so it
+    joins no two keys and leaves the blocks as they are.
     """
 
     def __init__(self, cover: DoubleCover):
@@ -143,17 +135,13 @@ class _CechLevels:
     def component(self, support: dict, na: int, nb: int) -> tuple[set, set]:
         """The keys of the raw-row component of the support's keys among the
         K_2 rows of monomials inside (na, nb), and the labels of its rows."""
-        p = self.cover.p
-        keys, labels = set(support), set()
-        frontier = list(keys)
-        while frontier:
-            for label in _k2_rows_holding(p, self.zp, frontier.pop(), na, nb):
-                if label not in labels:
-                    labels.add(label)
-                    fresh = _k2_row(p, self.zp, *label).keys() - keys
-                    keys |= fresh
-                    frontier.extend(fresh)
-        return keys, labels
+        p, zp = self.cover.p, self.zp
+        rows, keys = block(
+            support,
+            lambda key: _k2_rows_holding(p, zp, key, na, nb),
+            lambda label: _k2_row(p, zp, *label),
+        )
+        return keys, set(rows)
 
     def vanishes(self, shift: int) -> bool:
         """Is (xy)^shift * Phi(socle-numerator) in x^L Q + y^L Q for L = 1 + shift?"""
@@ -167,34 +155,25 @@ class _CechLevels:
             if u < p * level and v < p * level:
                 return False
 
-        # Slot 1: the delta twist of the numerator, modulo p-th powers, must
-        # lie in the span of transported slot-1 monomials x^{p^2 L} m and
-        # y^{p^2 L} m, for m in the slot ranges of the box.
+        # Slot 1: the delta twist of the numerator must lie in the span of
+        # the p-th powers and the transported slot-1 monomials x^{p^2 L} m
+        # and y^{p^2 L} m, for m in the slot ranges of the box.
         box = self.box(shift)
         if box is None:
             return True
         support, box_x, box_y, (na, nb) = box
         component, labels = self.component(support, na, nb)
-        k2 = _k2_reducer(p, self.zp, sorted(labels))
-        target = k2.reduce(support)
-        if not target:
+        span = _k2_reducer(p, self.zp, sorted(labels))
+        if span.contains(support):
             return True
         slot_shift = p * p * level
-        columns = []
-        seen_vectors = set()
         for x, y, w in sorted(component):
-            if not any(
+            if any(
                 sx <= x <= max(sx, box_x) and sy <= y <= max(sy, box_y)
                 for sx, sy in ((slot_shift, 0), (0, slot_shift))
             ):
-                continue
-            vec = k2.reduce({(x, y, w): 1})
-            stamp = frozenset(vec.items())
-            if vec and stamp not in seen_vectors:
-                seen_vectors.add(stamp)
-                columns.append(vec)
-        coeffs, _ = solve(columns, target, p, witness=False)
-        return coeffs is not None
+                span.add({(x, y, w): 1})
+        return span.contains(support)
 
 
 def quasi2_cech_oracle(cover: DoubleCover) -> bool:
@@ -205,8 +184,8 @@ def quasi2_cech_oracle(cover: DoubleCover) -> bool:
     cover is 2-quasi-F-split only if both levels refuse it.  At each level
     the columns range over a box that reaches p * (1 + deg g) beyond the
     support of the delta twist, restricted to the twist's raw-row component
-    of the box's K_2 rows; the answer is that of the whole box, because
-    both the reduction and the span test split by component.
+    of the box's K_2 rows, which gives the whole box's answer (see
+    ``linalg.block``).
     """
     p = cover.p
     base = p * p - p
@@ -398,15 +377,7 @@ def _splitting_system(cover: DoubleCover) -> tuple[dict, dict]:
 
     # the unit's unknown is always present: slot 0 and R both start at degree 0
     unit = (("0", (0, 0, 0)), (0, 0, 0))
-    rows: dict[tuple, dict] = {}
-    seen, frontier = {unit}, [unit]
-    while frontier:
-        for at in rows_holding(frontier.pop()):
-            if at not in rows:
-                rows[at] = entries = row(*at)
-                fresh = entries.keys() - seen
-                seen |= fresh
-                frontier.extend(fresh)
+    rows, seen = block([unit], rows_holding, lambda at: row(*at))
 
     # a fixed-width degree string first makes repr order degree order
     width = len(str(degree_cap))
@@ -445,11 +416,7 @@ def splitting_search(cover: DoubleCover) -> bool:
     reached row is built in full by inverting t*r'' on its R-monomial
     (``_preimages``).  The walked set is ``linalg._rhs_block`` of the whole
     window, found without building the rest, and it decides feasibility
-    exactly: the window's system is the union of its blocks, which share
-    no unknown and no row, and the right-hand side lies in phi's block.  A
-    solution of the window restricts to one of phi's block, and a solution
-    of phi's block, extended by 0, solves every other block's homogeneous
-    rows.
+    exactly (see ``linalg.block``): the right-hand side lies in phi's block.
 
     Rows are named (degree, equation, R-monomial) with a fixed-width degree
     string, so the solver's repr order of rows is ascending weighted degree

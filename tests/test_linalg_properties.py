@@ -12,6 +12,7 @@ from qfsplit.linalg import (  # noqa: E402
     _back_substitute,
     _eliminate,
     _equations,
+    block,
     nullspace,
     solve,
 )
@@ -189,3 +190,34 @@ def test_untouched_rhs_key_is_its_own_witness(system):
     p, columns, _ = system
     key = ("untouched", 0)
     assert solve(columns, {key: 1}, p) == (None, {key: 1})
+
+
+def scanned_block(columns, keys):
+    """The block of keys by repeated scans of every column until no column
+    outside it holds one of its keys."""
+    keys, reached = set(keys), set()
+    while True:
+        touching = {j for j, column in enumerate(columns) if not keys.isdisjoint(column)}
+        if touching == reached:
+            return reached, keys
+        reached = touching
+        keys |= {key for j in reached for key in columns[j]}
+
+
+@settings(deadline=None)
+@given(block_systems())
+def test_block_is_the_closed_fixed_point(system):
+    _p, columns, rhs = system
+    holders = {}
+    for j, column in enumerate(columns):
+        for key in column:
+            holders.setdefault(key, []).append(j)
+    rows, keys = block(rhs, lambda key: holders.get(key, ()), columns.__getitem__)
+    reached, reached_keys = scanned_block(columns, rhs)
+    assert rows == {j: columns[j] for j in reached}
+    assert keys == reached_keys
+    # closed: every column holding a reached key is reached, with its keys
+    for j, column in enumerate(columns):
+        if not keys.isdisjoint(column):
+            assert j in rows
+            assert keys >= column.keys()

@@ -1,11 +1,17 @@
+import json
+import os
+import sys
 from collections import Counter
 
 import pytest
 
-from qfsplit.linalg import GaussianBasis, _rhs_block, solve
-from qfsplit.localcoh import DoubleCover, analyze, reduce_modulo_cover
-from qfsplit.ring import PolyRing
-from qfsplit.splitting_oracle import (
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+
+import workloads  # noqa: E402
+from qfsplit.linalg import GaussianBasis, _rhs_block, solve  # noqa: E402
+from qfsplit.localcoh import DoubleCover, analyze, reduce_modulo_cover  # noqa: E402
+from qfsplit.ring import PolyRing  # noqa: E402
+from qfsplit.splitting_oracle import (  # noqa: E402
     NotQuasiHomogeneousError,
     ShallowWindowError,
     _CechLevels,
@@ -23,7 +29,7 @@ from qfsplit.splitting_oracle import (
     quasi_homogeneous_weights,
     splitting_search,
 )
-from qfsplit.witt import delta_carry
+from qfsplit.witt import delta_carry  # noqa: E402
 
 # Quasi-homogeneous rational-double-point shaped covers with a spread of
 # verdicts: F-split, height exactly 2, and beyond height 2.
@@ -434,3 +440,21 @@ DOUBLECOVER_FAMILIES = [
 def test_cech_oracle_agrees_with_engine_on_doublecover_families(text, p):
     cover = make_cover(p, text)
     assert quasi2_cech_oracle(cover) == analyze(cover).verdict.quasi2
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cech_oracle_agrees_with_engine_on_the_doublecover_workload(seed):
+    # every non-F-split cover of the benchmark's doublecover workload, with
+    # the seed's coefficients; the count pins the test to that workload
+    checked, disagreements = 0, []
+    for job in workloads.generate("doublecover", seed):
+        entry = json.loads(job.spec)
+        cover = make_cover(entry["p"], entry["poly"])
+        verdict = analyze(cover).verdict
+        if verdict.f_split:
+            continue
+        checked += 1
+        if quasi2_cech_oracle(cover) != verdict.quasi2:
+            disagreements.append(job.name)
+    assert checked == 24
+    assert disagreements == []
