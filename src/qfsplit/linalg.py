@@ -7,14 +7,13 @@ deterministic for a fixed input order.
 Every routine runs on one echelon core, ``_eliminate``.  ``solve`` and
 ``nullspace`` transpose their columns into equation rows keyed by column
 index; ``solve`` appends a tail to each row: the right-hand side at key
-``ncols`` and, when a witness is asked for, the row's multiplier on the
-i-th equation at key ``ncols + 1 + i``.  Tail keys are never pivots, so the
-tail carries along exactly the multipliers that produced each reduced row,
-and leaving the multipliers off changes no pivot and no coefficient.
+``ncols`` and the row's multiplier on the i-th equation at key
+``ncols + 1 + i``.  Tail keys are never pivots, so the tail carries along
+exactly the multipliers that produced each reduced row.
 
 ``solve`` eliminates only the block of the right-hand side (see
-``block``), and the two double-cover oracles build only the block they
-test.
+``block``).  The two double-cover oracles build only the block they test
+and answer with one ``GaussianBasis`` span test.
 """
 
 from __future__ import annotations
@@ -151,14 +150,12 @@ def _rhs_block(columns: Sequence[dict], rhs: dict) -> list[int]:
     return sorted(reached)
 
 
-def solve(columns: Sequence[dict], rhs: dict, p: int, *, witness: bool = True):
+def solve(columns: Sequence[dict], rhs: dict, p: int):
     """Solve sum_j c_j * columns[j] = rhs exactly over GF(p).
 
     Returns (coefficients, None) when solvable with free variables set to 0,
     or (None, witness) when infeasible; the witness maps row keys of the
-    original equations to multipliers exhibiting 0 = nonzero.  With
-    ``witness=False`` the multipliers are not carried, an infeasible system
-    returns (None, None), and the coefficients are the same.
+    original equations to multipliers exhibiting 0 = nonzero.
 
     Only the block of rhs is eliminated (``_rhs_block``); the other columns
     are treated as empty, which changes no answer (see ``block``).
@@ -171,11 +168,8 @@ def solve(columns: Sequence[dict], rhs: dict, p: int, *, witness: bool = True):
         val = rhs.get(key, 0) % p
         if val:
             row[n] = val
-        if witness:
-            row[n + 1 + i] = 1
+        row[n + 1 + i] = 1
         if _eliminate(rows, row, p, tail=n) == n:  # reduced to 0 = nonzero
-            if not witness:
-                return None, None
             return None, {keys[k - n - 1]: v for k, v in row.items() if k > n}
     return _back_substitute(rows, [0] * n, p), None
 

@@ -31,16 +31,18 @@ Frobenius-image code paths:
   nf(z^{p^2+eps}), then one K_2 reduction.  Only the ``linalg.block`` of
   the phi row is built, walking out from alpha(1) through the rows that
   hold each unknown (forward by t*r, backward by a reverse index of the
-  move table).  Rows and columns go to the solver in ascending weighted
-  degree, and it solves without the infeasibility witness
-  (``witness=False``), since only feasibility is asked.
+  move table).  The block's columns go to one ``GaussianBasis`` in
+  ascending weighted degree, and the search is one span test: is phi's
+  row in their span?
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import GaussianBasis, block, solve
+from .linalg import GaussianBasis, block
+# unused here, but perfbench/tracing.install wraps it: a traced run needs the name
+from .linalg import solve  # noqa: F401
 from .localcoh import DoubleCover, reduce_modulo_cover
 from .witt import delta_carry
 
@@ -316,10 +318,11 @@ def _preimages(out: tuple[int, int, int], index: int, neg_g: dict):
             yield (x - s, y - t, 1), c
 
 
-def _splitting_system(cover: DoubleCover) -> tuple[dict, dict]:
-    """The system ``splitting_search`` solves: unknown -> column, in
-    ascending weighted degree, and the right-hand side, for the block of
-    the window's system that holds the phi row.  See ``splitting_search``."""
+def _splitting_system(cover: DoubleCover) -> dict:
+    """The columns ``splitting_search`` spans: unknown -> {row number:
+    coefficient}, in ascending weighted degree, for the block of the
+    window's system that holds the phi row.  Rows are numbered in ascending
+    weighted degree, phi's row first as row 0.  See ``splitting_search``."""
     p = cover.p
     weights = quasi_homogeneous_weights(cover)
     degree_cap = 4 * p * p  # weighted R-degree window
@@ -379,17 +382,16 @@ def _splitting_system(cover: DoubleCover) -> tuple[dict, dict]:
     unit = (("0", (0, 0, 0)), (0, 0, 0))
     rows, seen = block([unit], rows_holding, lambda at: row(*at))
 
-    # a fixed-width degree string first makes repr order degree order
-    width = len(str(degree_cap))
-    phi = (f"{0:0{width}d}", "phi", (0, 0, 0))
-    ordered = sorted(seen, key=lambda unknown: (_weighted_degree(unknown[1], weights), unknown))
-    columns = {unknown: {} for unknown in ordered}
-    columns[unit][phi] = 1
-    for (equation, out), entries in rows.items():
-        name = (f"{_weighted_degree(out, weights):0{width}d}", equation, out)
-        for unknown, c in entries.items():
-            columns[unknown][name] = c
-    return columns, {phi: 1}
+    def by_degree(item):  # a row (equation, out) or an unknown (source, r)
+        return _weighted_degree(item[1], weights), item
+
+    # rows numbered in ascending degree after phi's row 0, of degree 0
+    columns = {unknown: {} for unknown in sorted(seen, key=by_degree)}
+    columns[unit][0] = 1
+    for number, at in enumerate(sorted(rows, key=by_degree), 1):
+        for unknown, c in rows[at].items():
+            columns[unknown][number] = c
+    return columns
 
 
 def splitting_search(cover: DoubleCover) -> bool:
@@ -415,17 +417,19 @@ def splitting_search(cover: DoubleCover) -> bool:
     table (``_module_moves``, every move of the window computed once).  Each
     reached row is built in full by inverting t*r'' on its R-monomial
     (``_preimages``).  The walked set is ``linalg._rhs_block`` of the whole
-    window, found without building the rest, and it decides feasibility
-    exactly (see ``linalg.block``): the right-hand side lies in phi's block.
+    window, found without building the rest, and it decides span membership
+    exactly (see ``linalg.block``): phi's row lies in its block.
 
-    Rows are named (degree, equation, R-monomial) with a fixed-width degree
-    string, so the solver's repr order of rows is ascending weighted degree
-    with phi's row first; the columns are passed in ascending degree too.
-    A row of degree d holds only unknowns of degree <= d, so each row is
-    eliminated against pivots of its own degree or below.  Infeasibility
+    The system is feasible iff phi's row {0: 1} lies in the span of the
+    columns.  Rows are numbered in ascending weighted degree with phi's row
+    as 0, and the columns go to one ``GaussianBasis`` in ascending degree
+    too.  A row of degree d holds only unknowns of degree <= d, so a column
+    of degree d has its rows at degree d or above, and each column is
+    reduced against pivots of its own degree or below.  Infeasibility
     certifies that no splitting exists; feasibility is the windowed
     converse, validated against the other routes on the corpus.
     """
-    columns, rhs = _splitting_system(cover)
-    solution, _ = solve(list(columns.values()), rhs, cover.p, witness=False)
-    return solution is not None
+    span = GaussianBasis(cover.p)
+    for column in _splitting_system(cover).values():
+        span.add(column)
+    return span.contains({0: 1})

@@ -39,8 +39,8 @@ class TestRankAndSpan:
 
     def test_in_span(self):
         vecs = [{"a": 1, "b": 1}, {"b": 1}]
-        assert solve(vecs, {"a": 2}, 5, witness=False)[0] is not None
-        assert solve(vecs, {"c": 1}, 5, witness=False)[0] is None
+        assert solve(vecs, {"a": 2}, 5)[0] is not None
+        assert solve(vecs, {"c": 1}, 5)[0] is None
 
     def test_gaussian_basis_reduce(self):
         basis = GaussianBasis(5)

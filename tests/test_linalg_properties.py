@@ -45,7 +45,7 @@ def _rank(vectors, p):
 
 
 def _in_span(columns, rhs, p):
-    return solve(columns, rhs, p, witness=False)[0] is not None
+    return solve(columns, rhs, p)[0] is not None
 
 
 def dot(witness, vector, p):
@@ -65,15 +65,6 @@ def test_solve_returns_solution_or_witness(system):
         # the witness combines the equations into 0 = nonzero
         assert all(dot(witness, column, p) == 0 for column in columns)
         assert dot(witness, rhs, p) != 0
-
-
-@settings(deadline=None)
-@given(systems())
-def test_witness_free_solve_matches_solve(system):
-    p, columns, rhs = system
-    coeffs, _ = solve(columns, rhs, p)
-    lean = solve(columns, rhs, p, witness=False)
-    assert lean == (coeffs, None)  # (None, None) when infeasible
 
 
 @settings(deadline=None)
@@ -145,7 +136,7 @@ def test_block_solve_is_a_solution_or_a_global_witness(system):
         assert dot(witness, rhs, p) != 0
 
 
-def whole_system_solve(columns, rhs, p, witness):
+def whole_system_solve(columns, rhs, p):
     """The elimination of every equation row, with no block restriction."""
     n = len(columns)
     equations = _equations(enumerate(columns), rhs)
@@ -154,10 +145,9 @@ def whole_system_solve(columns, rhs, p, witness):
     for i, (key, row) in enumerate(equations.items()):
         if rhs.get(key, 0) % p:
             row[n] = rhs[key] % p
-        if witness:
-            row[n + 1 + i] = 1
+        row[n + 1 + i] = 1
         if _eliminate(rows, row, p, tail=n) == n:
-            return None, ({keys[k - n - 1]: v for k, v in row.items() if k > n} if witness else None)
+            return None, {keys[k - n - 1]: v for k, v in row.items() if k > n}
     return _back_substitute(rows, [0] * n, p), None
 
 
@@ -165,8 +155,7 @@ def whole_system_solve(columns, rhs, p, witness):
 @given(block_systems())
 def test_block_solve_matches_whole_system(system):
     p, columns, rhs = system
-    for witness in (True, False):
-        assert solve(columns, rhs, p, witness=witness) == whole_system_solve(columns, rhs, p, witness)
+    assert solve(columns, rhs, p) == whole_system_solve(columns, rhs, p)
 
 
 @settings(deadline=None)
@@ -178,10 +167,9 @@ def test_fresh_block_changes_nothing(system, data):
     keys = st.sampled_from([(group, i) for i in range(3)])
     vector = st.dictionaries(keys, st.integers(1, p - 1), min_size=1, max_size=3)
     extra = data.draw(st.lists(vector, min_size=1, max_size=4))
-    for witness in (True, False):
-        coeffs, certificate = solve(columns, rhs, p, witness=witness)
-        padded = None if coeffs is None else coeffs + [0] * len(extra)
-        assert solve(columns + extra, rhs, p, witness=witness) == (padded, certificate)
+    coeffs, certificate = solve(columns, rhs, p)
+    padded = None if coeffs is None else coeffs + [0] * len(extra)
+    assert solve(columns + extra, rhs, p) == (padded, certificate)
 
 
 @settings(deadline=None)

@@ -206,14 +206,19 @@ def full_window_system(cover):
     return unknowns, [columns[key] for key in unknowns], {("phi", (0, 0, 0)): 1}
 
 
-def row_contents(unknowns, columns, rhs):
-    """The system's rows with their names forgotten: a multiset of
-    {(unknown, coefficient)} sets, each with its right-hand side."""
+def row_entries(unknowns, columns):
+    """Row name -> the row's entries, a frozenset of (unknown, coefficient)."""
     rows = {}
     for unknown, column in zip(unknowns, columns):
         for key, c in column.items():
-            rows.setdefault(key, {rhs.get(key, 0)}).add((unknown, c))
-    return Counter(frozenset(row) for row in rows.values())
+            rows.setdefault(key, set()).add((unknown, c))
+    return {key: frozenset(row) for key, row in rows.items()}
+
+
+def row_contents(unknowns, columns, rhs):
+    """The system's rows with their names forgotten: a multiset of rows,
+    each its entries with its right-hand side."""
+    return Counter((row, rhs.get(key, 0)) for key, row in row_entries(unknowns, columns).items())
 
 
 @pytest.mark.parametrize("name,p,text", SEARCH_CASES)
@@ -222,28 +227,47 @@ def test_walked_block_is_the_rhs_block(name, p, text):
     unknowns, columns, rhs = full_window_system(cover)
     block = _rhs_block(columns, rhs)
     assert len(block) < len(columns)
-    walked, walked_rhs = _splitting_system(cover)
+    walked = _splitting_system(cover)
     assert set(walked) == {unknowns[j] for j in block}
-    assert row_contents(walked, walked.values(), walked_rhs) == row_contents(
+    # the walked system's right-hand side is phi's row, row 0
+    assert row_contents(walked, walked.values(), {0: 1}) == row_contents(
         [unknowns[j] for j in block], [columns[j] for j in block], rhs
     )
 
 
 @pytest.mark.parametrize("name,p,text", SEARCH_CASES)
 def test_search_system_is_in_degree_order(name, p, text):
-    # rows named (degree, equation, R-monomial): repr order must be weighted
-    # degree order with phi's row first, and columns go in degree order too
+    # a walked row's degree is that of its R-monomial, read off the row with
+    # the same entries in the full window, where rows are named by it
     cover = make_cover(p, text)
     weights = quasi_homogeneous_weights(cover)
-    columns, rhs = _splitting_system(cover)
-    column_degrees = [_weighted_degree(r, weights) for _source, r in columns]
-    assert column_degrees == sorted(column_degrees)
-    rows = sorted({key for column in columns.values() for key in column}, key=repr)
-    assert list(rhs) == rows[:1]
-    row_degrees = [_weighted_degree(key[-1], weights) for key in rows]
+    unknowns, columns, _rhs = full_window_system(cover)
+    degrees_of = {}
+    for (_equation, out), row in row_entries(unknowns, columns).items():
+        degrees_of.setdefault(row, set()).add(_weighted_degree(out, weights))
+    walked = _splitting_system(cover)
+    rows = row_entries(walked, walked.values())
+    assert sorted(rows) == list(range(len(rows)))
+    row_degrees = []
+    for number in sorted(rows):
+        (degree,) = degrees_of[rows[number]]
+        row_degrees.append(degree)
     assert row_degrees == sorted(row_degrees)
-    for (_source, r), column in columns.items():
-        assert all(_weighted_degree(r, weights) <= _weighted_degree(key[-1], weights) for key in column)
+    unit = (("0", (0, 0, 0)), (0, 0, 0))
+    assert rows[0] == {(unit, 1)}  # phi's row: alpha(1) = 1
+    column_degrees = [_weighted_degree(r, weights) for _source, r in walked]
+    assert column_degrees == sorted(column_degrees)
+    for degree, column in zip(column_degrees, walked.values()):
+        assert all(row_degrees[number] >= degree for number in column)
+
+
+@pytest.mark.parametrize("name,p,text", SEARCH_CASES + [("E8", 3, "x^3 + y^5")])
+def test_search_is_the_span_test_of_its_columns(name, p, text):
+    # the reference is the full solver on the same columns, with phi's row
+    # as the right-hand side; E8 at p = 3 is infeasible
+    cover = make_cover(p, text)
+    columns = _splitting_system(cover)
+    assert splitting_search(cover) == (solve(list(columns.values()), {0: 1}, p)[0] is not None)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -411,7 +435,7 @@ def full_box_vanishes(levels, shift):
     k2 = full_box_reducer(levels, na, nb)
     target = k2.reduce(support)
     columns = [k2.reduce({key: 1}) for key in sorted(slot_range_keys(p, shift, box_x, box_y))]
-    coeffs, _ = solve([col for col in columns if col], target, p, witness=False)
+    coeffs, _ = solve([col for col in columns if col], target, p)
     return coeffs is not None
 
 
