@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import accumulate
 
 from . import __version__
 from .report import (
@@ -74,10 +75,12 @@ def _ring_for(p: int, texts: list[str]) -> PolyRing:
 def _witt_operand(text: str) -> tuple[str, list[str]]:
     """Split a stripped witt operand into its form, "[" for a lift [f], "("
     for a vector (a0; a1; ...) or "" for a bare polynomial, and its
-    component texts."""
+    component texts.  A vector is a text whose "(" at position 0 closes at
+    its last character, so (x+1)*(y+1) is a polynomial."""
     if text.startswith("[") and text.endswith("]"):
         return "[", [text[1:-1]]
-    if text.startswith("(") and text.endswith(")"):
+    depths = accumulate((ch == "(") - (ch == ")") for ch in text)
+    if text.startswith("(") and next((i for i, d in enumerate(depths, 1) if not d), 0) == len(text):
         return "(", text[1:-1].split(";")
     return "", [text]
 

@@ -5,21 +5,20 @@ Frobenius-image code paths:
 
 * `quasi2_cech_oracle` works in Q = F_* W_2(R) / p.  The cover is
   2-quasi-F-split iff the image of the socle {z/(xy)} survives in H^2 of
-  Q, and that image vanishes iff its numerator, pushed to a deep enough
-  denominator level L, lies in the submodule x^L Q + y^L Q.  Q carries
-  linear coordinates over F_p: a class of (a_0, a_1) maps to
+  Q, and that image vanishes iff its numerator, pushed to the denominator
+  level L = 1 + p^2, lies in the submodule x^L Q + y^L Q; a shallower level
+  would add nothing (see the oracle's docstring).  Q carries linear
+  coordinates over F_p: a class of (a_0, a_1) maps to
   (a_0, a_1 + delta(a_0)) with the second slot reduced modulo p-th powers
   {c^p}; the delta twist absorbs the Witt addition carry, making the
   coordinate map additive, so the vanishing is a plain span test.  The
   p-th powers are spanned by x^{pu} y^{pv} and x^{pu} y^{pv} nf(z^p); the
   oracle reduces z^p itself once per call and builds every such row, and
   the socle numerator, by re-keying a shift of that one normal form.  The
-  delta twist of a numerator shifted by a monomial m is m^p times that of
-  nf(z^p), so one delta per call serves both levels.  Each level builds
-  only the ``linalg.block`` of the twist's support among the K_2 rows of
-  its box (its raw-row component), found by reverse lookup from the keys,
-  and tests the twist for membership in one span: those rows plus the
-  component's slot-range monomials.
+  delta twist is computed only when slot 0 does not answer, and only the
+  ``linalg.block`` of its support among the K_2 rows of the box is built:
+  the twist is tested for membership in one span, those rows plus the
+  block's slot-range monomials.
 
 * `splitting_search` looks for the splitting itself: a graded module
   homomorphism alpha: Q -> R with alpha(Phi(1)) = 1, solved for on the
@@ -100,102 +99,67 @@ def _k2_rows_holding(p: int, zp: dict, key: tuple, na: int, nb: int):
             yield u, v, eps
 
 
-class _CechLevels:
-    """One Cech oracle call: the oracle's nf(z^p) and nf(delta(nf(z^p))),
-    shared by both levels.
-
-    A level tests its delta twist only against the K_2 rows of its box's
-    raw-row component: the ``linalg.block`` of the twist's support, walked
-    with ``_k2_rows_holding``.  Span membership splits by block, so this is
-    the whole box's answer; a slot-range monomial holds one key, so it
-    joins no two keys and leaves the blocks as they are.
-    """
-
-    def __init__(self, cover: DoubleCover):
-        self.cover = cover
-        self.zp = _z_power_normal_form(cover)
-        self.delta_zp = _delta_normal_form(cover, self.zp)
-
-    def box(self, shift: int):
-        """The level's delta twist nf(delta(numerator)) as a term map, the
-        corner (box_x, box_y) of the box of keys around its support, and the
-        extent (na, nb) of K_2 monomials that covers the box; None when the
-        twist is 0.
-
-        The numerator is nf(z^p) shifted by (xy)^{p shift}, so its twist is
-        nf(delta(nf(z^p))) shifted by (xy)^{p^2 shift}.
-        """
-        if not self.delta_zp:
-            return None
-        p = self.cover.p
-        support = _shift(self.delta_zp, p * p * shift, p * p * shift)
-        buffer = p * (1 + self.cover.g.total_degree())
-        box_x = max(k[0] for k in support) + buffer
-        box_y = max(k[1] for k in support) + buffer
-        return support, box_x, box_y, ((box_x + buffer) // p + 1, (box_y + buffer) // p + 1)
-
-    def component(self, support: dict, na: int, nb: int) -> tuple[set, set]:
-        """The keys of the raw-row component of the support's keys among the
-        K_2 rows of monomials inside (na, nb), and the labels of its rows."""
-        p, zp = self.cover.p, self.zp
-        rows, keys = block(
-            support,
-            lambda key: _k2_rows_holding(p, zp, key, na, nb),
-            lambda label: _k2_row(p, zp, *label),
-        )
-        return keys, set(rows)
-
-    def vanishes(self, shift: int) -> bool:
-        """Is (xy)^shift * Phi(socle-numerator) in x^L Q + y^L Q for L = 1 + shift?"""
-        p = self.cover.p
-        level = 1 + shift
-        numerator = _shift(self.zp, p * shift, p * shift)
-
-        # Slot 0: single-monomial columns x^L.(m, 0) and y^L.(m, 0); membership
-        # is per-monomial divisibility by x^{pL} or y^{pL}.
-        for u, v, _w in numerator:
-            if u < p * level and v < p * level:
-                return False
-
-        # Slot 1: the delta twist of the numerator must lie in the span of
-        # the p-th powers and the transported slot-1 monomials x^{p^2 L} m
-        # and y^{p^2 L} m, for m in the slot ranges of the box.
-        box = self.box(shift)
-        if box is None:
-            return True
-        support, box_x, box_y, (na, nb) = box
-        component, labels = self.component(support, na, nb)
-        span = _k2_reducer(p, self.zp, sorted(labels))
-        if span.contains(support):
-            return True
-        slot_shift = p * p * level
-        for x, y, w in sorted(component):
-            if any(
-                sx <= x <= max(sx, box_x) and sy <= y <= max(sy, box_y)
-                for sx, sy in ((slot_shift, 0), (0, slot_shift))
-            ):
-                span.add({(x, y, w): 1})
-        return span.contains(support)
-
-
 def quasi2_cech_oracle(cover: DoubleCover) -> bool:
     """2-quasi-F-split verdict by brute-force Cech vanishing in Q.
 
-    The class is tested at the natural level and once more one step deeper;
-    an exhibited membership is a definitive vanishing certificate, so the
-    cover is 2-quasi-F-split only if both levels refuse it.  At each level
-    the columns range over a box that reaches p * (1 + deg g) beyond the
-    support of the delta twist, restricted to the twist's raw-row component
-    of the box's K_2 rows, which gives the whole box's answer (see
-    ``linalg.block``).
+    The cover is 2-quasi-F-split iff the socle class does not vanish at
+    level L = 1 + s, s = p^2: iff (xy)^s * Phi(socle-numerator), whose
+    numerator is nf(z^p) shifted by (xy)^{p s}, is not in x^L Q + y^L Q.
+    Two facts make this one level exact.
+
+    Slot 0 is the socle test at every level.  The slot-0 columns x^L.(m, 0)
+    and y^L.(m, 0) are the monomials divisible by x^{pL} or y^{pL}, and a
+    term x^u y^v of nf(z^p), shifted, escapes both iff u + p s < p L and
+    v + p s < p L, that is u, v < p.  Such a term keeps the class alive, and
+    no delta is computed.  Otherwise the class vanishes iff its delta twist,
+    nf(delta(nf(z^p))) shifted by (xy)^{p^2 s}, lies in the span of the
+    K_2 rows of the box and the slot-range monomials x^{p^2 L} m and
+    y^{p^2 L} m; a twist of 0 vanishes.
+
+    The shallower level s = p^2 - p is subsumed.  Going from it to
+    s = p^2 moves the twist's support and the box corner by p^3 in both
+    coordinates, maps the K_2 row of (u, v, eps) to that of
+    (u + p^2, v + p^2, eps), and grows both box extents by exactly p^2.
+    The slot ranges start at (p^2 L, 0) and (0, p^2 L), so their starts
+    move by p^3 along their own axis and each still reaches from 0 along
+    the other: the move maps every shallow slot-range monomial to a deep
+    one.  So every combination exhibiting a shallow vanishing, moved by
+    (xy)^{p^3}, exhibits the deep one: writing v_0 and v_1 for "vanishes
+    at the shallow, resp. deep, level", v_0 implies v_1, and the answer
+    not (v_0 or v_1) of testing both levels equals not v_1.
+
+    The box reaches p (1 + deg g) beyond the twist's support.  Only the K_2
+    rows of the twist's raw-row component are built (``linalg.block``,
+    walked by ``_k2_rows_holding``), which gives the whole box's answer:
+    span membership splits by block, and a slot-range monomial holds one
+    key, so it joins no two keys.
     """
     p = cover.p
-    base = p * p - p
-    levels = _CechLevels(cover)
-    for extra in (0, p):
-        if levels.vanishes(base + extra):
-            return False
-    return True
+    zp = _z_power_normal_form(cover)
+    if any(u < p and v < p for u, v, _w in zp):
+        return True
+    twist = _delta_normal_form(cover, zp)
+    if not twist:
+        return False
+    support = _shift(twist, p**4, p**4)
+    buffer = p * (1 + cover.g.total_degree())
+    box_x = max(x for x, _y, _w in support) + buffer
+    box_y = max(y for _x, y, _w in support) + buffer
+    na, nb = (box_x + buffer) // p + 1, (box_y + buffer) // p + 1
+    rows, component = block(
+        support,
+        lambda key: _k2_rows_holding(p, zp, key, na, nb),
+        lambda label: _k2_row(p, zp, *label),
+    )
+    span = _k2_reducer(p, zp, sorted(rows))
+    slot_shift = p * p * (1 + p * p)  # p^2 L
+    for x, y, w in sorted(component):
+        if any(
+            sx <= x <= max(sx, box_x) and sy <= y <= max(sy, box_y)
+            for sx, sy in ((slot_shift, 0), (0, slot_shift))
+        ):
+            span.add({(x, y, w): 1})
+    return not span.contains(support)
 
 
 class NotQuasiHomogeneousError(ValueError):

@@ -232,6 +232,29 @@ class TestWittCommands:
         assert code == 0
         assert out == WittVector.from_ghost(ring, ghost).render() + "\n"
 
+    @pytest.mark.parametrize("sub", ["delta", "identity", "teich"])
+    def test_parenthesised_product_is_a_polynomial(self, capsys, sub):
+        expected = run_cli(capsys, "witt", sub, "--p", "2", "x*y + x + y + 1")
+        assert expected[0] == 0
+        assert run_cli(capsys, "witt", sub, "--p", "2", "(x+1)*(y+1)") == expected
+
+    @pytest.mark.parametrize(
+        "operand,result",
+        [("(x+1)", "(x)"), ("((x+1)*(y+1))", "(x + y + x*y)"), ("(x; (y+1))", "(1 + x; 1 + x + y)")],
+    )
+    def test_vector_operands_around_parentheses(self, capsys, operand, result):
+        # a "(" at position 0 that closes at the end makes a vector, whatever
+        # parentheses its components hold, and sets the length
+        code, out, _ = run_cli(capsys, "witt", "add", "--p", "2", operand, "[1]")
+        assert code == 0
+        assert out == result + "\n"
+
+    def test_parenthesised_product_is_no_witt_operand(self, capsys):
+        code, out, err = run_cli(capsys, "witt", "add", "--p", "2", "(x+1)*(y+1)", "[x]")
+        assert code == 2
+        assert out == ""
+        assert "Witt operand must be [poly] or (a0; a1; ...)" in err
+
     def test_length_mismatch_rejected(self, capsys):
         code, _, err = run_cli(capsys, "witt", "add", "--p", "2", "(x; 1)", "(y; 1; 0)")
         assert code == 2

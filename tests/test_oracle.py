@@ -8,13 +8,14 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
 
 import workloads  # noqa: E402
-from qfsplit.linalg import GaussianBasis, _rhs_block, solve  # noqa: E402
+from qfsplit import splitting_oracle  # noqa: E402
+from qfsplit.linalg import GaussianBasis, _rhs_block, block, solve  # noqa: E402
 from qfsplit.localcoh import DoubleCover, analyze, reduce_modulo_cover  # noqa: E402
 from qfsplit.ring import PolyRing  # noqa: E402
 from qfsplit.splitting_oracle import (  # noqa: E402
     NotQuasiHomogeneousError,
     ShallowWindowError,
-    _CechLevels,
+    _delta_normal_form,
     _k2_reducer,
     _k2_row,
     _k2_rows_holding,
@@ -342,15 +343,29 @@ def test_move_table_matches_poly_products(name, p, text):
             assert move("1", b, index) == slot1
 
 
-# covers that pass the slot-0 test at both levels with a nonzero delta twist;
-# at p = 3 two terms of x^3 + y^6 + x^2 y^3 are congruent mod p, so chains of
-# K_2 rows reach past the rows that hold the twist's own keys
+# covers that pass the slot-0 test with a nonzero delta twist; at p = 3 two
+# terms of x^3 + y^6 + x^2 y^3 are congruent mod p, so chains of K_2 rows
+# reach past the rows that hold the twist's own keys
 CECH_CASES = [
     ("E6", 3, "x^3 + y^4"),
     ("E8", 5, "x^3 + y^5"),
     ("E12", 5, "x^3 + y^7"),
     ("x3+y6+x2y3", 3, "x^3 + y^6 + x^2*y^3"),
 ]
+
+
+def level_box(cover, shift):
+    """The Cech box at ``shift`` (the oracle's level is shift p^2): nf(z^p),
+    the delta twist shifted by (xy)^{p^2 shift}, the box corner (box_x,
+    box_y) and the extent (na, nb) of K_2 monomials that covers the box."""
+    p = cover.p
+    zp = _z_power_normal_form(cover)
+    s = p * p * shift
+    support = _shift(_delta_normal_form(cover, zp), s, s)
+    buffer = p * (1 + cover.g.total_degree())
+    box_x = max(k[0] for k in support) + buffer
+    box_y = max(k[1] for k in support) + buffer
+    return zp, support, box_x, box_y, ((box_x + buffer) // p + 1, (box_y + buffer) // p + 1)
 
 
 def slot_range_keys(p, shift, box_x, box_y):
@@ -369,15 +384,10 @@ def full_box_monomials(na, nb):
     return [(a, b, w) for w in (0, 1) for a in range(na) for b in range(nb)]
 
 
-def full_box_reducer(levels, na, nb):
-    return _k2_reducer(levels.cover.p, levels.zp, full_box_monomials(na, nb))
-
-
-def scanned_component(levels, support, na, nb):
+def scanned_component(p, zp, support, na, nb):
     """The raw-row component of the support's keys by repeated scans of
     every K_2 row of the box."""
-    p = levels.cover.p
-    rows = {m: _k2_row(p, levels.zp, *m) for m in full_box_monomials(na, nb)}
+    rows = {m: _k2_row(p, zp, *m) for m in full_box_monomials(na, nb)}
     keys, labels = set(support), set()
     while True:
         touching = {m for m, row in rows.items() if not keys.isdisjoint(row)}
@@ -389,20 +399,21 @@ def scanned_component(levels, support, na, nb):
 
 @pytest.mark.parametrize("name,p,text", CECH_CASES)
 def test_component_basis_reduces_like_the_full_box(name, p, text):
-    levels = _CechLevels(make_cover(p, text))
-    base = p * p - p
-    for shift in (base, base + p):
-        support, box_x, box_y, (na, nb) = levels.box(shift)
-        component, labels = levels.component(support, na, nb)
-        assert (component, labels) == scanned_component(levels, support, na, nb)
-        local = _k2_reducer(p, levels.zp, sorted(labels))
-        fresh = full_box_reducer(levels, na, nb)
-        assert local.reduce(support) == fresh.reduce(support)
-        assert local.reduce(support)
-        keys = component & slot_range_keys(p, shift, box_x, box_y)
-        assert keys
-        for key in keys:
-            assert local.reduce({key: 1}) == fresh.reduce({key: 1})
+    zp, support, box_x, box_y, (na, nb) = level_box(make_cover(p, text), p * p)
+    rows, component = block(
+        support,
+        lambda key: _k2_rows_holding(p, zp, key, na, nb),
+        lambda label: _k2_row(p, zp, *label),
+    )
+    assert (component, set(rows)) == scanned_component(p, zp, support, na, nb)
+    local = _k2_reducer(p, zp, sorted(rows))
+    fresh = _k2_reducer(p, zp, full_box_monomials(na, nb))
+    assert local.reduce(support) == fresh.reduce(support)
+    assert local.reduce(support)
+    keys = component & slot_range_keys(p, p * p, box_x, box_y)
+    assert keys
+    for key in keys:
+        assert local.reduce({key: 1}) == fresh.reduce({key: 1})
 
 
 @pytest.mark.parametrize(
@@ -424,15 +435,16 @@ def test_rows_holding_a_key_match_a_box_scan(p, text):
         assert set(_k2_rows_holding(p, zp, key, na, nb)) == scanned
 
 
-def full_box_vanishes(levels, shift):
-    """``_CechLevels.vanishes`` against the K_2 rows of the whole box, with
-    every slot-range key as a column and no component filter."""
-    p = levels.cover.p
-    for u, v, _w in _shift(levels.zp, p * shift, p * shift):
+def full_box_vanishes(cover, shift):
+    """Does the socle class vanish at the level of ``shift``?  Tested against
+    the K_2 rows of the whole box, with every slot-range key as a column and
+    no component filter."""
+    p = cover.p
+    for u, v, _w in _shift(_z_power_normal_form(cover), p * shift, p * shift):
         if u < p * (1 + shift) and v < p * (1 + shift):
             return False
-    support, box_x, box_y, (na, nb) = levels.box(shift)
-    k2 = full_box_reducer(levels, na, nb)
+    zp, support, box_x, box_y, (na, nb) = level_box(cover, shift)
+    k2 = _k2_reducer(p, zp, full_box_monomials(na, nb))
     target = k2.reduce(support)
     columns = [k2.reduce({key: 1}) for key in sorted(slot_range_keys(p, shift, box_x, box_y))]
     coeffs, _ = solve([col for col in columns if col], target, p)
@@ -441,10 +453,59 @@ def full_box_vanishes(levels, shift):
 
 @pytest.mark.parametrize("text,answers", [("x^3 + y^4", (False, False)), ("x^3 + y^7", (True, True))])
 def test_component_levels_answer_like_the_full_box(text, answers):
-    levels = _CechLevels(make_cover(3, text))
-    shifts = (6, 9)
-    assert tuple(full_box_vanishes(levels, shift) for shift in shifts) == answers
-    assert tuple(levels.vanishes(shift) for shift in shifts) == answers
+    # answers: does the class vanish at the shallow shift p^2 - p = 6, kept
+    # here as a reference, and at the oracle's shift p^2 = 9
+    cover = make_cover(3, text)
+    assert tuple(full_box_vanishes(cover, shift) for shift in (6, 9)) == answers
+    assert quasi2_cech_oracle(cover) is not answers[1]
+
+
+def test_shallow_level_is_subsumed():
+    # the oracle tests shift p^2 alone; wherever the class vanishes one step
+    # shallower, at p^2 - p, it vanishes at p^2 too and the oracle says False
+    shallow = 0
+    for _name, p, text in CECH_CASES:
+        cover = make_cover(p, text)
+        if full_box_vanishes(cover, p * p - p):
+            shallow += 1
+            assert full_box_vanishes(cover, p * p)
+            assert quasi2_cech_oracle(cover) is False
+    assert shallow
+
+
+@pytest.mark.parametrize(
+    "p,text", [(5, "x^4 + y^4"), (7, "x^3 + y^6"), (17, "16*x^2 + y^2 + 2*x^3 + 16*x^4")]
+)
+def test_f_split_covers_answer_from_slot_0(monkeypatch, p, text):
+    cover = make_cover(p, text)
+    assert analyze(cover).verdict.f_split
+
+    def no_delta(_f):
+        raise AssertionError("the Cech oracle computed a delta on an F-split cover")
+
+    monkeypatch.setattr(splitting_oracle, "delta_carry", no_delta)
+    assert quasi2_cech_oracle(cover) is True
+
+
+# covers whose answer turns on the K_2 rows: the twist lies in the span only
+# with them, so a span started without them would answer True
+@pytest.mark.parametrize(
+    "p,text", [(3, "x^3 + y^3"), (3, "2*x^3 + y^3"), (2, "x^2 + y^2"), (2, "x^2 + x*y^3")]
+)
+def test_k2_rows_decide_the_cech_answer(p, text):
+    cover = make_cover(p, text)
+    assert analyze(cover).verdict.quasi2 is False
+    assert quasi2_cech_oracle(cover) is False
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cross_check_cech_jobs_give_their_pinned_answers(seed):
+    jobs = [job for job in workloads.generate("cross-check", seed) if job.kind == "cech"]
+    assert len(jobs) == 7
+    failed = [
+        job.name for job in jobs if not workloads.check(job, workloads.execute(job, workloads.prepare(job)))
+    ]
+    assert failed == []
 
 
 # the doublecover benchmark families at their primes; x^3 + y^6 + x^2 y^3 is
