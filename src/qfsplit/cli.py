@@ -72,15 +72,22 @@ def _ring_for(p: int, texts: list[str]) -> PolyRing:
     return PolyRing(p, infer_variables(" ".join(texts)) or ("x",))
 
 
+def _closes_at_end(text: str, opening: str, closing: str) -> bool:
+    """Whether text starts with opening and that bracket closes at its last character."""
+    depths = accumulate((ch == opening) - (ch == closing) for ch in text)
+    closed_at = next((i for i, d in enumerate(depths, 1) if not d), 0)
+    return text.startswith(opening) and closed_at == len(text)
+
+
 def _witt_operand(text: str) -> tuple[str, list[str]]:
     """Split a stripped witt operand into its form, "[" for a lift [f], "("
     for a vector (a0; a1; ...) or "" for a bare polynomial, and its
-    component texts.  A vector is a text whose "(" at position 0 closes at
-    its last character, so (x+1)*(y+1) is a polynomial."""
-    if text.startswith("[") and text.endswith("]"):
+    component texts.  A lift or a vector is a text whose bracket at
+    position 0 closes at its last character, so [x]*[y] and (x+1)*(y+1)
+    are polynomials."""
+    if _closes_at_end(text, "[", "]"):
         return "[", [text[1:-1]]
-    depths = accumulate((ch == "(") - (ch == ")") for ch in text)
-    if text.startswith("(") and next((i for i, d in enumerate(depths, 1) if not d), 0) == len(text):
+    if _closes_at_end(text, "(", ")"):
         return "(", text[1:-1].split(";")
     return "", [text]
 

@@ -7,16 +7,26 @@ integers exactly and serves as the lift ring for ghost components and
 carry polynomials.  Canonical term order is graded lexicographic
 (ascending total degree, x-heavy terms first within a degree), fixed so
 that rendering and serialization are deterministic.
+
+Terms are stored under exponent tuples, but products run on packed keys:
+each ring has a fixed layout of one unsigned 64-bit field per variable, and
+the key of (e_1, ..., e_n) is the int sum e_i * 2^(64(i-1)).  Every stored
+exponent is at most 2^63 - 1 (``from_terms``, ``*``, ``mul_trunc`` and
+``frobenius_power`` reject larger ones), so the sum of two keys adds field
+by field with no carry, and a field of the sum has its top bit set exactly
+when the exponent sum passed 2^63 - 1.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
+import struct
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 MAX_EXPONENT = 2**31 - 1  # largest exponent the parser accepts
 _EXPONENT_LIMIT = 2**63 - 1
+_TOP_BIT = 2**63
 _PRIME_LIMIT = 2**16
 
 
@@ -55,7 +65,7 @@ def term_sort_key(exponents: tuple[int, ...]) -> tuple:
 class PolyRing:
     """Ring context: characteristic (0 or a prime < 2^16) and ordered variables."""
 
-    __slots__ = ("char", "variables", "_index")
+    __slots__ = ("char", "variables", "_index", "_fields", "_ones")
 
     def __init__(self, char: int, variables: Iterable[str]):
         variables = tuple(variables)
@@ -72,6 +82,9 @@ class PolyRing:
         self.char = char
         self.variables = variables
         self._index = {name: i for i, name in enumerate(variables)}
+        # the packed-key layout (module docstring); _ones has 1 in every field
+        self._fields = struct.Struct(f"<{len(variables)}Q")
+        self._ones = int.from_bytes(self._fields.pack(*(1,) * len(variables)), "little")
 
     @property
     def nvars(self) -> int:
@@ -107,9 +120,9 @@ class PolyRing:
             exps = tuple(exps)
             if len(exps) != self.nvars:
                 raise ValueError(f"exponent vector {exps} has wrong length for {self!r}")
-            if any(e < 0 for e in exps):
+            if min(exps, default=0) < 0:
                 raise ValueError(f"negative exponent in {exps}")
-            if any(e > _EXPONENT_LIMIT for e in exps):
+            if max(exps, default=0) > _EXPONENT_LIMIT:
                 raise ExponentOverflowError(f"exponent in {exps} exceeds 2^63-1")
             c = self._normalize(c)
             if c:
@@ -211,9 +224,10 @@ class Poly:
             other = self.ring.constant(other)
         self._check_ring(other)
         out = dict(self._terms)
-        norm = self.ring._normalize
+        get = out.get
+        p = self.ring.char
         for exps, c in other._terms.items():
-            s = norm(out.get(exps, 0) + c)
+            s = (get(exps, 0) + c) % p if p else get(exps, 0) + c
             if s:
                 out[exps] = s
             elif exps in out:
@@ -247,30 +261,45 @@ class Poly:
                     out[exps] = v
             return Poly(self.ring, out, _internal=True)
         self._check_ring(other)
-        out = self._accumulate(zip(self._terms.items(), itertools.repeat(other._terms.items())))
-        for exps in out:
-            if any(e > _EXPONENT_LIMIT for e in exps):
-                raise ExponentOverflowError("exponent overflow in product")
-        return Poly(self.ring, out, _internal=True)
+        return Poly(self.ring, self._accumulate(other, 2**64), _internal=True)
 
     __rmul__ = __mul__
 
-    def _accumulate(self, rows) -> dict[tuple[int, ...], int]:
-        """The pair loop of a product: sum c1*c2 at e1+e2 over every
-        ((e1, c1), partners) row and every (e2, c2) of its partners.  The
-        raw integer sums are reduced mod p once per output term, and the
-        terms that cancel are dropped then."""
-        out: dict[tuple[int, ...], int] = {}
+    def _accumulate(self, other: "Poly", q: int) -> dict[tuple[int, ...], int]:
+        """The terms of self * other whose exponents are all below q; q =
+        2^64 exceeds every sum of two stored exponents, so nothing is cut.
+        other must have every exponent below q.
+
+        One pass sums c1*c2 at k1 + k2 over every pair of packed keys.  Each
+        field of every right key carries the bias 2^63 - min(q, 2^63), so a
+        field of k1 + k2 has its top bit set exactly when its exponent sum
+        reaches min(q, 2^63).  Such a pair is skipped if some sum reaches q
+        and raises ExponentOverflowError otherwise: then a sum passed
+        2^63 - 1.  The raw integer sums are reduced mod p once per output
+        term, and the terms that cancel are dropped then."""
+        ring = self.ring
+        fields, ones = ring._fields, ring._ones
+        pack, unpack, size = fields.pack, fields.unpack, fields.size
+        bias = (_TOP_BIT - q) * ones if q < _TOP_BIT else 0
+        mask = _TOP_BIT * ones
+        right = [(int.from_bytes(pack(*e), "little") + bias, c) for e, c in other._terms.items()]
+        out: dict[int, int] = {}
         get = out.get
-        add = operator.add
-        for (e1, c1), partners in rows:
-            for e2, c2 in partners:
-                exps = tuple(map(add, e1, e2))
-                out[exps] = get(exps, 0) + c1 * c2
-        p = self.ring.char
-        if p:
-            return {exps: r for exps, c in out.items() if (r := c % p)}
-        return {exps: c for exps, c in out.items() if c}
+        for e1, c1 in self._terms.items():
+            k1 = int.from_bytes(pack(*e1), "little")
+            for k2, c2 in right:
+                k = k1 + k2
+                if k & mask:
+                    if bias or max(unpack(k.to_bytes(size, "little"))) >= q:
+                        continue
+                    raise ExponentOverflowError("exponent overflow in product")
+                out[k] = get(k, 0) + c1 * c2
+        p = ring.char
+        return {
+            unpack((k - bias).to_bytes(size, "little")): r
+            for k, c in out.items()
+            if (r := c % p if p else c)
+        }
 
     def truncate(self, q: int) -> "Poly":
         """The terms with every exponent below q: the normal form of self
@@ -280,18 +309,11 @@ class Poly:
 
     def mul_trunc(self, other: "Poly", q: int) -> "Poly":
         """(self * other).truncate(q), skipping every pair of terms whose
-        exponent sum reaches q in some variable."""
+        exponent sum reaches q in some variable.  A kept pair whose sum
+        passes 2^63 - 1 raises ExponentOverflowError, as in ``*``."""
         self._check_ring(other)
-        right = other.truncate(q)._terms.items()
-        top = max((max(e2, default=0) for e2, _ in right), default=0)
-
-        def partners(e1):
-            if max(e1, default=0) + top < q:
-                return right
-            return [(e2, c2) for e2, c2 in right if max(map(operator.add, e1, e2)) < q]
-
-        left = self.truncate(q)._terms
-        return Poly(self.ring, self._accumulate(zip(left.items(), map(partners, left))), _internal=True)
+        terms = self.truncate(q)._accumulate(other.truncate(q), q)
+        return Poly(self.ring, terms, _internal=True)
 
     def frobenius_power(self, k: int = 1) -> "Poly":
         """The p^k-th power, by multiplying every exponent by p^k: over F_p
@@ -303,12 +325,9 @@ class Poly:
         if k == 0:
             return self
         factor = p**k
-        out = {}
-        for exps, c in self._terms.items():
-            new = tuple(e * factor for e in exps)
-            if any(e > _EXPONENT_LIMIT for e in new):
-                raise ExponentOverflowError("exponent overflow in Frobenius power")
-            out[new] = c
+        if max(chain.from_iterable(self._terms), default=0) * factor > _EXPONENT_LIMIT:
+            raise ExponentOverflowError("exponent overflow in Frobenius power")
+        out = {tuple(map(factor.__mul__, exps)): c for exps, c in self._terms.items()}
         return Poly(self.ring, out, _internal=True)
 
     def _pow_binary(self, e: int, mul=operator.mul) -> "Poly":

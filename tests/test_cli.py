@@ -255,6 +255,13 @@ class TestWittCommands:
         assert out == ""
         assert "Witt operand must be [poly] or (a0; a1; ...)" in err
 
+    def test_bracketed_product_is_no_witt_operand(self, capsys):
+        # the "[" at position 0 closes at position 2, so this is no lift
+        code, out, err = run_cli(capsys, "witt", "add", "--p", "2", "[x]*[y]", "[x]")
+        assert code == 2
+        assert out == ""
+        assert "Witt operand must be [poly] or (a0; a1; ...)" in err
+
     def test_length_mismatch_rejected(self, capsys):
         code, _, err = run_cli(capsys, "witt", "add", "--p", "2", "(x; 1)", "(y; 1; 0)")
         assert code == 2

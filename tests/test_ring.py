@@ -204,6 +204,15 @@ class TestRingContext:
         with pytest.raises(ExponentOverflowError):
             f.frobenius_power(40)
 
+    def test_kept_truncated_pair_overflows_as_in_the_product(self):
+        # x^(2^63) is below q = 2^64 but past 2^63 - 1; at q = 2^63 it is cut
+        f = PolyRing(2, ("x",)).monomial({"x": 2**62})
+        with pytest.raises(ExponentOverflowError):
+            f * f
+        with pytest.raises(ExponentOverflowError):
+            f.mul_trunc(f, 2**64)
+        assert f.mul_trunc(f, 2**63).is_zero()
+
     def test_frobenius_power_zero_is_identity_and_needs_prime_char(self, r5xy):
         f = r5xy.parse("x^2 + 3*x*y + 1")
         assert f.frobenius_power(0) is f

@@ -1,7 +1,8 @@
-"""Property tests for products: the pair loop behind ``*`` against a
-term-by-term reference over F_p and over Z, and arithmetic in the quotient
-by (x_1^q, ..., x_n^q), where truncated products and powers must equal the
-truncated full results."""
+"""Property tests for products: the pair loop behind ``*`` and
+``mul_trunc`` against a term-by-term reference over F_p and over Z, in 0 to
+4 variables and at the 2^63 - 1 exponent limit, and arithmetic in the
+quotient by (x_1^q, ..., x_n^q), where truncated products and powers must
+equal the truncated full results."""
 
 import pytest
 
@@ -10,17 +11,19 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from qfsplit.ring import PolyRing  # noqa: E402
+from qfsplit.ring import ExponentOverflowError, PolyRing  # noqa: E402
 
 PRIMES = [2, 3, 5, 7]
+VARIABLES = ("x", "y", "z", "w")
+LIMIT = 2**63 - 1
 
 
 @st.composite
 def operands(draw, count, max_exp):
-    """(ring, [polys], q): up to 3 variables over F_p, p in PRIMES, each
+    """(ring, [polys], q): 0 to 4 variables over F_p, p in PRIMES, each
     poly with at most 4 terms and exponents up to max_exp(p)."""
     p = draw(st.sampled_from(PRIMES))
-    ring = PolyRing(p, ("x", "y", "z")[: draw(st.integers(1, 3))])
+    ring = PolyRing(p, VARIABLES[: draw(st.integers(0, 4))])
     exps = st.tuples(*[st.integers(0, max_exp(p)) for _ in ring.variables])
     term = st.tuples(exps, st.integers(1, p - 1))
     polys = [ring.from_terms(dict(draw(st.lists(term, max_size=4)))) for _ in range(count)]
@@ -28,13 +31,17 @@ def operands(draw, count, max_exp):
     return ring, polys, q
 
 
-def term_pair_product(a, b):
-    """a * b as a sum of one single-term polynomial per pair of terms."""
+def term_pair_product(a, b, q=None):
+    """a * b as a sum of one single-term polynomial per pair of terms; with
+    q, only the pairs whose exponent sums are all below q.  from_terms
+    raises ExponentOverflowError for a kept sum past 2^63 - 1."""
     ring = a.ring
     result = ring.zero()
     for e1, c1 in a.terms():
         for e2, c2 in b.terms():
-            result = result + ring.from_terms({tuple(x + y for x, y in zip(e1, e2)): c1 * c2})
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            if q is None or max(exps, default=0) < q:
+                result = result + ring.from_terms({exps: c1 * c2})
     return result
 
 
@@ -48,13 +55,36 @@ def assert_is_the_term_pair_product(a, b):
 
 @st.composite
 def integer_operands(draw):
-    """Two polynomials over Z in 1-3 variables, each with at most 5 terms of
+    """Two polynomials over Z in 0-4 variables, each with at most 5 terms of
     exponent at most 2 and coefficients in [-4, 4], so pairs collide and
     cancel often."""
-    ring = PolyRing(0, ("x", "y", "z")[: draw(st.integers(1, 3))])
+    ring = PolyRing(0, VARIABLES[: draw(st.integers(0, 4))])
     exps = st.tuples(*[st.integers(0, 2) for _ in ring.variables])
     term = st.tuples(exps, st.integers(-4, 4))
     return [ring.from_terms(dict(draw(st.lists(term, max_size=5)))) for _ in range(2)]
+
+
+@st.composite
+def limit_operands(draw):
+    """Two polynomials over F_p or Z in 0-4 variables, each with at most 4
+    terms whose exponents are 0, 1, 2^62 or 2^63 - 1."""
+    p = draw(st.sampled_from(PRIMES + [0]))
+    ring = PolyRing(p, VARIABLES[: draw(st.integers(0, 4))])
+    exps = st.tuples(*[st.sampled_from([0, 1, 2**62, LIMIT]) for _ in ring.variables])
+    term = st.tuples(exps, st.integers(1, p - 1) if p else st.integers(-4, 4))
+    return [ring.from_terms(dict(draw(st.lists(term, max_size=4)))) for _ in range(2)]
+
+
+def assert_matches_reference(a, b, q=None):
+    """a * b (q None) or a.mul_trunc(b, q) equals term_pair_product(a, b, q),
+    and raises ExponentOverflowError exactly when the reference does."""
+    try:
+        expected = term_pair_product(a, b, q)
+    except ExponentOverflowError:
+        with pytest.raises(ExponentOverflowError):
+            a * b if q is None else a.mul_trunc(b, q)
+    else:
+        assert (a * b if q is None else a.mul_trunc(b, q)) == expected
 
 
 @settings(deadline=None, max_examples=150)
@@ -68,6 +98,28 @@ def test_product_is_the_term_pair_product(case):
 @given(integer_operands())
 def test_integer_product_is_the_term_pair_product(case):
     assert_is_the_term_pair_product(*case)
+
+
+@settings(deadline=None, max_examples=200)
+@given(limit_operands())
+def test_products_at_the_exponent_limit(case):
+    # * raises exactly when some exponent sum passes 2^63 - 1; mul_trunc
+    # skips the pairs that reach q and raises for a kept pair past it
+    a, b = case
+    for q in (None, 2, 2**62, 2**62 + 1, 2**63, 2**63 + 1, 2**64):
+        assert_matches_reference(a, b, q)
+
+
+@pytest.mark.parametrize("nvars", [1, 4])
+def test_from_terms_exponent_range(nvars):
+    ring = PolyRing(2, VARIABLES[:nvars])
+    low = (0,) * (nvars - 1)
+    assert ring.from_terms({low + (LIMIT,): 1}).term_map() == {low + (LIMIT,): 1}
+    with pytest.raises(ExponentOverflowError):
+        ring.from_terms({low + (LIMIT + 1,): 1})
+    with pytest.raises(ValueError) as info:
+        ring.from_terms({low + (-1,): 1})
+    assert not isinstance(info.value, ExponentOverflowError)
 
 
 @pytest.mark.parametrize("p", PRIMES + [0])
@@ -104,6 +156,18 @@ def test_ideal_membership_is_a_zero_truncation(case, level):
 def test_mul_trunc_is_truncated_product(case):
     _, (a, b), q = case
     assert a.mul_trunc(b, q) == (a * b).truncate(q)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(operands(2, lambda p: 2 * p).map(lambda case: case[1]), integer_operands()))
+def test_mul_trunc_at_the_named_bounds(case):
+    # q = 1, p, p^2 and one above every exponent sum (over Z, the bounds of
+    # F_3), over F_p and over Z with negative coefficients
+    a, b = case
+    p = a.ring.char or 3
+    top = max((max(e, default=0) for e in (*a.term_map(), *b.term_map())), default=0)
+    for q in (1, p, p * p, 2 * top + 1):
+        assert_matches_reference(a, b, q)
 
 
 @settings(deadline=None, max_examples=60)
