@@ -12,8 +12,10 @@ index; ``solve`` appends a tail to each row: the right-hand side at key
 exactly the multipliers that produced each reduced row.
 
 ``solve`` eliminates only the block of the right-hand side (see
-``block``).  The two double-cover oracles build only the block they test
-and answer with one ``GaussianBasis`` span test.
+``block``).  Three callers build only the block they test: the
+Frobenius-image membership of ``localcoh``, which hands it to ``solve``,
+and the two double-cover oracles, which answer with one ``GaussianBasis``
+span test.
 """
 
 from __future__ import annotations

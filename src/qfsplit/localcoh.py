@@ -12,6 +12,7 @@ verdict is whether that carry class escapes the image of Frobenius.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from . import linalg, witt
 from .criteria import Verdict
@@ -273,17 +274,43 @@ def _candidate_bound(cover: DoubleCover) -> int:
     return -(-(2 * p * p + (p - 1) * cover.g.total_degree() + 2 * p) // (2 * p))
 
 
+def _frobenius_label_holders(cover: DoubleCover, bound: int):
+    """The reverse of _frobenius_label_image on the box i, j <= bound: a
+    function from a key (w, a, b) to the labels whose image holds it.  They
+    are (0, a/p, b/p) when w = 0, and (1, (a+u)/p, (b+v)/p) for each term
+    x^u y^v z^w of nf(z^p), wherever both divisions are exact and both
+    quotients are <= bound."""
+    p, top = cover.p, cover.p * bound
+    shifts: dict[int, list] = {}  # z-degree w -> (u, v) of the terms of nf(z^p)
+    for u, v, w in cover.frobenius_numerator().term_map():
+        shifts.setdefault(w, []).append((u, v))
+
+    def holders(key):
+        w, a, b = key
+        sums = [(1, a + u, b + v) for u, v in shifts.get(w, ())]
+        if not w:
+            sums.append((0, a, b))
+        return [
+            (eps, a // p, b // p)
+            for eps, a, b in sums
+            if not a % p and not b % p and a <= top and b <= top
+        ]
+
+    return holders
+
+
 def frobenius_image_membership(eta: H2Class, cover: DoubleCover) -> MembershipResult:
     """Decide eta in span_{F_p}{ F(z^eps/(x^i y^j)) } by exact linear algebra.
 
     Candidate sources are bounded by i, j <= B; a term of F(z^eps/(x^i y^j))
     has denominator x-exponent at least p*i minus the z-reduction growth, so
-    sources beyond B cannot meet eta's support.  Over-inclusion is harmless
-    (the solve demands zero residual everywhere) and costs only the
-    construction of the extra columns: ``linalg.solve`` eliminates only the
-    block of columns connected to eta's support, and columns outside it get
-    coefficient 0.  A too-small bound shows up as an infeasible system and is
-    retried with B doubled.
+    sources beyond B cannot meet eta's support.  Only the block of eta is
+    built, by ``linalg.block`` with the reverse lookup
+    _frobenius_label_holders.  ``linalg.solve`` still gets one column per
+    label of the box, at index (eps*B + i - 1)*B + j - 1; every label off the
+    block gets an empty column, which changes no answer (see ``block``).  A
+    too-small bound shows up as an infeasible system and is retried with B
+    doubled.
 
     Feasibility is monotone in B (a larger bound only adds columns), so a
     feasible answer is final.  An infeasible one is not a proof: stopping
@@ -293,20 +320,25 @@ def frobenius_image_membership(eta: H2Class, cover: DoubleCover) -> MembershipRe
     _frobenius_label_image, the routine behind frobenius_h2.
     """
     p = cover.p
+    rhs = eta.term_map()
+    empty = MappingProxyType({})  # every label off the block shares it
     first = _candidate_bound(cover)
     for escalations, bound in enumerate((first, 2 * first)):
-        labels = [
-            (eps, i, j)
-            for eps in (0, 1)
-            for i in range(1, bound + 1)
-            for j in range(1, bound + 1)
-        ]
-        columns = [_frobenius_label_image(label, cover) for label in labels]
-        solution, witness = linalg.solve(columns, eta.term_map(), p)
+        reached, _ = linalg.block(
+            rhs,
+            _frobenius_label_holders(cover, bound),
+            lambda label: _frobenius_label_image(label, cover),
+        )
+        columns = [empty] * (2 * bound * bound)
+        for (eps, i, j), image in reached.items():
+            columns[(eps * bound + i - 1) * bound + j - 1] = image
+        solution, witness = linalg.solve(columns, rhs, p)
         if solution is not None:
-            coeffs = {
-                labels[idx]: c for idx, c in enumerate(solution) if c
-            }
+            coeffs = {}
+            for idx, c in enumerate(solution):
+                if c:
+                    eps, ij = divmod(idx, bound * bound)
+                    coeffs[(eps, ij // bound + 1, ij % bound + 1)] = c
             return MembershipResult(True, coeffs, None, bound, escalations)
     return MembershipResult(False, None, witness, bound, escalations)
 

@@ -76,10 +76,18 @@ def infer_variables(text: str) -> tuple[str, ...]:
     return tuple(sorted(set(re.findall(r"[A-Za-z_][A-Za-z_0-9]*", text))))
 
 
+def _prime_ring(p: int, variables: tuple[str, ...]) -> PolyRing:
+    """GF(p)[variables]; PolyRing also takes characteristic 0 for integer
+    lifts, which neither decision route is defined over."""
+    if p == 0:
+        raise ValueError("characteristic 0 is not prime")
+    return PolyRing(p, variables)
+
+
 def parse_hypersurface(p: int, text: str, variables: tuple[str, ...] | None = None):
     """f parsed over its variables (a ring with none parses constants),
     checked to lie in the maximal ideal m = (x_1, ..., x_n)."""
-    f = PolyRing(p, variables or infer_variables(text)).parse(text)
+    f = _prime_ring(p, variables or infer_variables(text)).parse(text)
     if f.is_zero():
         raise ZeroInputError("zero polynomial")
     if f.constant_term():
@@ -88,8 +96,7 @@ def parse_hypersurface(p: int, text: str, variables: tuple[str, ...] | None = No
 
 
 def parse_doublecover(p: int, text: str) -> DoubleCover:
-    ring = PolyRing(p, ("x", "y"))
-    return DoubleCover(p, ring.parse(text))
+    return DoubleCover(p, _prime_ring(p, ("x", "y")).parse(text))
 
 
 @dataclass

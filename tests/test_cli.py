@@ -57,6 +57,14 @@ class TestCheck:
         assert out == ""
         assert "zero constant term" in err
 
+    @pytest.mark.parametrize("kind,poly", [("hypersurface", "x^2+y^2"), ("doublecover", "x^2+y^3")])
+    def test_characteristic_zero_rejected(self, capsys, kind, poly):
+        # PolyRing admits characteristic 0 for integer lifts; check does not
+        code, out, err = run_cli(capsys, "check", "--p", "0", "--kind", kind, poly)
+        assert code == 2
+        assert out == ""
+        assert err == "error: characteristic 0 is not prime\n"
+
     def test_doublecover_constant_term_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "check", "--p", "3", "--kind", "doublecover", "x + 1"
@@ -100,6 +108,14 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", "--p", "7", "x^3+y^3+z^3")
         assert code == 2
         assert "analysis failed" in err
+
+
+@pytest.mark.parametrize("kind,poly", [("hypersurface", "x^2+y^2"), ("doublecover", "x^2+y^3")])
+def test_run_entry_rejects_characteristic_zero(kind, poly):
+    # an entry built directly skips CatalogEntry.from_dict's p >= 2 test
+    report = run_entry(CatalogEntry(name="p0", p=0, kind=kind, poly=poly))
+    assert report.verdict is None
+    assert report.error == "ValueError: characteristic 0 is not prime"
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,11 @@
 """Property tests: the incremental isolated-singularity check against a
 fresh solve for every degree, the Witt carry class against the direct
-integer formula and against nf(delta(nf(z^p))), and the single z-degree of
-nf(z^p) that the carry class reads."""
+integer formula and against nf(delta(nf(z^p))), the single z-degree of
+nf(z^p) that the carry class reads, and the membership's block walk against
+the whole box of Frobenius columns."""
+
+import os
+import sys
 
 import pytest
 
@@ -10,16 +14,26 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from qfsplit import linalg  # noqa: E402
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+
+import workloads  # noqa: E402
+from qfsplit import linalg, localcoh  # noqa: E402
 from qfsplit.localcoh import (  # noqa: E402
     DoubleCover,
+    H2Class,
+    MembershipResult,
+    _candidate_bound,
+    _frobenius_label_holders,
+    _frobenius_label_image,
     frobenius_h2,
+    frobenius_image_membership,
     has_isolated_singularity,
     normal_form,
     reduce_modulo_cover,
     socle,
     witt_carry_class,
 )
+from qfsplit.report import parse_doublecover  # noqa: E402
 from qfsplit.ring import PolyRing  # noqa: E402
 from qfsplit.witt import delta_carry  # noqa: E402
 
@@ -134,3 +148,138 @@ def test_frobenius_numerator_has_one_z_degree(cover):
     numerator = cover.frobenius_numerator()
     assert {w for _, _, w in numerator.term_map()} == {0 if cover.p == 2 else 1}
     assert numerator == expected_frobenius_numerator(cover)
+
+
+def box_labels(bound):
+    return [(eps, i, j) for eps in (0, 1) for i in range(1, bound + 1) for j in range(1, bound + 1)]
+
+
+def box_columns(cover, bound, cache):
+    """Every column F(z^eps/(x^i y^j)) of the box i, j <= bound, in label order."""
+    if (cover, bound) not in cache:
+        cache[cover, bound] = [_frobenius_label_image(label, cover) for label in box_labels(bound)]
+    return cache[cover, bound]
+
+
+def whole_box_membership(eta, cover, cache):
+    """The membership as the whole-box builder: every column of the box,
+    then ``linalg.solve``, at the candidate bound B and then at 2B."""
+    first = _candidate_bound(cover)
+    for escalations, bound in enumerate((first, 2 * first)):
+        labels = box_labels(bound)
+        solution, witness = linalg.solve(box_columns(cover, bound, cache), eta.term_map(), cover.p)
+        if solution is not None:
+            coeffs = {labels[idx]: c for idx, c in enumerate(solution) if c}
+            return MembershipResult(True, coeffs, None, bound, escalations)
+    return MembershipResult(False, None, witness, bound, escalations)
+
+
+def workload_covers(seed):
+    """The covers of the doublecover workload at seed that no earlier seed
+    has, the bundled catalog's included at seed 1."""
+    covers = {}
+    for earlier in range(1, seed + 1):
+        fresh = {}
+        for job in workloads.generate("doublecover", earlier):
+            entry = workloads.prepare(job)
+            if (entry.p, entry.poly) not in covers:
+                fresh[entry.p, entry.poly] = entry
+        covers.update(fresh)
+    return [parse_doublecover(entry.p, entry.poly) for entry in fresh.values()]
+
+
+def edge_classes(cover):
+    """F(z^eps/(x^B y^B)) and F(z^eps/(x^2B y^2B)), eps = 0, 1: the last
+    labels of the box at B and at 2B."""
+    first = _candidate_bound(cover)
+    return {
+        (eps, bound): H2Class(cover.p, _frobenius_label_image((eps, bound, bound), cover))
+        for bound in (first, 2 * first)
+        for eps in (0, 1)
+    }
+
+
+@pytest.mark.parametrize("seed,count", [(1, 34), (2, 26), (3, 21)])
+def test_block_walk_matches_the_whole_box(seed, count):
+    cache, checked = {}, 0
+    for cover in workload_covers(seed):
+        p = cover.p
+        first = _candidate_bound(cover)
+        classes = [
+            H2Class(p, {(1, 1, 1): 1}),
+            H2Class(p, {(0, p, p): 1}),
+            H2Class(p, {(1, p * p - 1, 1): 1}),
+        ]
+        if frobenius_h2(socle(cover), cover).is_zero():
+            classes.append(witt_carry_class(cover))
+        for eta in classes:
+            assert frobenius_image_membership(eta, cover) == whole_box_membership(eta, cover, cache)
+        for (eps, bound), eta in edge_classes(cover).items():
+            result = frobenius_image_membership(eta, cover)
+            assert result == whole_box_membership(eta, cover, cache)
+            assert (result.feasible, result.escalations) == (True, int(bound > first))
+            assert result.coefficients == {(eps, bound, bound): 1}
+        cache.clear()
+        checked += 1
+    assert checked == count
+
+
+@settings(deadline=None, max_examples=40)
+@given(covers())
+@example(cover(7, "x^4 + y^4"))
+@example(cover(2, "x*y"))
+def test_label_holders_are_the_exact_preimage(cover):
+    # every key of a column of the 2B box, looked up in the box at B, gives
+    # exactly the labels of that box whose Frobenius image holds the key
+    bound = _candidate_bound(cover)
+    expected = {}
+    for label in box_labels(bound):
+        for key in _frobenius_label_image(label, cover):
+            expected.setdefault(key, set()).add(label)
+    keys = {key for label in box_labels(2 * bound) for key in _frobenius_label_image(label, cover)}
+    assert expected.keys() <= keys
+    holders = _frobenius_label_holders(cover, bound)
+    for key in keys:
+        found = holders(key)
+        assert len(found) == len(set(found))
+        assert set(found) == expected.get(key, set())
+
+
+def count_label_images(monkeypatch):
+    calls = []
+
+    def counted(label, cover):
+        calls.append(label)
+        return _frobenius_label_image(label, cover)
+
+    monkeypatch.setattr(localcoh, "_frobenius_label_image", counted)
+    return calls
+
+
+def test_empty_block_builds_no_column(monkeypatch):
+    # height 2: the carry is outside the image, and no column of the box
+    # at B or at 2B touches any of its keys
+    quartic = cover(23, "x^4 + y^4")
+    carry = witt_carry_class(quartic)
+    calls = count_label_images(monkeypatch)
+    result = frobenius_image_membership(carry, quartic)
+    assert (result.feasible, result.escalations) == (False, 1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("p,g", [(3, "x^3 + y^4"), (5, "x^3 + y^5"), (7, "x^4 + y^4")])
+def test_feasible_edge_builds_only_its_block(monkeypatch, p, g):
+    # one image per label of the rhs block of the whole box, at each bound
+    # solved: B alone for the edge at B, B and then 2B for the edge at 2B
+    edge_cover = cover(p, g)
+    first = _candidate_bound(edge_cover)
+    cache = {}
+    calls = count_label_images(monkeypatch)
+    for (_, bound), eta in edge_classes(edge_cover).items():
+        block_labels = sum(
+            len(linalg._rhs_block(box_columns(edge_cover, solved, cache), eta.term_map()))
+            for solved in sorted({first, bound})
+        )
+        calls.clear()
+        assert frobenius_image_membership(eta, edge_cover).feasible
+        assert len(calls) == block_labels > 0
