@@ -12,6 +12,7 @@ verdict is whether that carry class escapes the image of Frobenius.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from types import MappingProxyType
 
 from . import linalg, witt
@@ -343,22 +344,67 @@ def frobenius_image_membership(eta: H2Class, cover: DoubleCover) -> MembershipRe
     return MembershipResult(False, None, witness, bound, escalations)
 
 
+def quasi_homogeneous_grading(g: Poly) -> tuple[int, int, int] | None:
+    """Coprime weights (w_x, w_y) and the weighted degree D that make g in
+    F_p[x, y] weighted homogeneous, or None when no positive weights do.
+    A monomial g gets weights (1, 1)."""
+    support = sorted(g.term_map())
+    (u0, v0) = support[0]
+    # every term must satisfy u*wx + v*wy = u0*wx + v0*wy, so du*wx = -dv*wy
+    # pins wx : wy = |dv| : |du|, and positive weights need opposite signs
+    weights = None
+    for u, v in support[1:]:
+        du, dv = u - u0, v - v0
+        if du * dv >= 0:
+            return None
+        k = gcd(du, dv)
+        candidate = (abs(dv) // k, abs(du) // k)
+        if weights not in (None, candidate):
+            return None
+        weights = candidate
+    wx, wy = weights or (1, 1)
+    return wx, wy, u0 * wx + v0 * wy
+
+
 def has_isolated_singularity(cover: DoubleCover) -> bool:
     """Jacobian check that the origin is the only singular point of the
     affine surface z^2 + g = 0: True when some pure powers x^N, y^N lie in
-    (g_x, g_y) (+ (g) when p is odd), so those generators vanish nowhere
+    J = (g_x, g_y) (+ (g) when p is odd), so those generators vanish nowhere
     else in the (x, y)-plane.  The test is global, not local: a cover whose
     singularity at the origin is isolated but which has a second singular
     point gives False (z^2 + y^2 - x^2 (x-1)^2 at p = 5, also singular at
-    (1, 0)).  False also follows when no such powers appear below the cap.
+    (1, 0)).
 
-    For N = 1, 2, ... up to (d-1)^2 + d, the span of the multiples
+    Quasi-homogeneous g with weights (w_x, w_y) and weighted degree D, when
+    p = 2 or p does not divide D: the answer is exact.  At odd p, Euler's
+    identity D g = w_x x g_x + w_y y g_y puts g in (g_x, g_y), so in both
+    cases J = (g_x, g_y), generated by two weighted-homogeneous partials.
+    If one partial is 0, J is principal and m-primary iff the other is a
+    nonzero constant.  Otherwise J is m-primary iff g_x, g_y form a regular
+    sequence, and then F_p[x, y]/J has socle degree
+    s = (D - w_x) + (D - w_y) - w_x - w_y, so every monomial of weighted
+    degree above s lies in J.  Hence J is m-primary iff x^N in J and
+    y^M in J with N = max(1, s // w_x + 1), M = max(1, s // w_y + 1), and J
+    is graded, so each membership is one span test over the multiples
+    m g_x and m g_y of exactly that weighted degree.  The singular locus of
+    weighted-homogeneous z^2 + g is a cone (every G_m-orbit closure passes
+    through the origin), so "J is m-primary" is the same as "the origin is
+    the only singular point", and False means the surface is shown not to
+    have an isolated singularity.
+
+    Every other cover (g not quasi-homogeneous, or odd p dividing D, as E6
+    at p = 3 where g_x = 0 and g is needed) takes the capped sweep, and
+    there False also follows when no such powers appear below the cap: for
+    N = 1, 2, ... up to (d-1)^2 + d, d = deg g, the span of the multiples
     x^u y^v * gen with u + v <= N + d is tested for x^N and y^N.  One
     elimination basis grows with N: step 1 adds every multiple up to degree
     1 + d, each later step only those of degree N + d.
     """
     g = cover.g
     gens = [g.derivative("x"), g.derivative("y")]
+    grading = quasi_homogeneous_grading(g)
+    if grading is not None and (cover.p == 2 or grading[2] % cover.p):
+        return _graded_isolated(*gens, *grading)
     if cover.p != 2:
         gens.append(g)
     gens = [gen.term_map() for gen in gens if not gen.is_zero()]
@@ -377,6 +423,28 @@ def has_isolated_singularity(cover: DoubleCover) -> bool:
         if found_x and found_y:
             return True
     return False
+
+
+def _graded_isolated(gx: Poly, gy: Poly, wx: int, wy: int, degree: int) -> bool:
+    """J = (g_x, g_y) is m-primary, for g weighted homogeneous of the given
+    weights and degree: the graded test of has_isolated_singularity."""
+    if not gx or not gy:
+        unit = gx or gy  # J is principal
+        return bool(unit) and unit.total_degree() == 0
+    gens = [(gx.term_map(), degree - wx), (gy.term_map(), degree - wy)]
+    socle_degree = gens[0][1] + gens[1][1] - wx - wy
+    for target, w in (((1, 0), wx), ((0, 1), wy)):
+        n = max(1, socle_degree // w + 1)
+        basis = linalg.GaussianBasis(gx.ring.char)
+        for terms, gen_degree in gens:
+            rest = n * w - gen_degree  # weighted degree of the multiplier
+            for u in range(rest // wx + 1):  # empty when rest < 0
+                v, off = divmod(rest - u * wx, wy)
+                if not off:
+                    basis.add({(a + u, b + v): c for (a, b), c in terms.items()})
+        if not basis.contains({(n * target[0], n * target[1]): 1}):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

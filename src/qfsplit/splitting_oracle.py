@@ -37,12 +37,10 @@ Frobenius-image code paths:
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .linalg import GaussianBasis, block
 # unused here, but perfbench/tracing.install wraps it: a traced run needs the name
 from .linalg import solve  # noqa: F401
-from .localcoh import DoubleCover, reduce_modulo_cover
+from .localcoh import DoubleCover, quasi_homogeneous_grading, reduce_modulo_cover
 from .witt import delta_carry
 
 
@@ -167,23 +165,12 @@ class NotQuasiHomogeneousError(ValueError):
 
 
 def quasi_homogeneous_weights(cover: DoubleCover) -> tuple[int, int, int]:
-    """Integer weights (w_x, w_y, w_z) making z^2 + g weighted homogeneous."""
-    support = sorted(cover.g.term_map())
-    (u0, v0) = support[0]
-    # every term must satisfy u*wx + v*wy = u0*wx + v0*wy, pinning wy/wx
-    ratio = None
-    for u, v in support[1:]:
-        du, dv = u - u0, v - v0
-        if dv == 0:
-            if du != 0:
-                raise NotQuasiHomogeneousError(f"{cover.g.render()} is not quasi-homogeneous")
-            continue
-        candidate = Fraction(-du, dv)
-        if candidate <= 0 or (ratio is not None and ratio != candidate):
-            raise NotQuasiHomogeneousError(f"{cover.g.render()} is not quasi-homogeneous")
-        ratio = candidate
-    wx, wy = (ratio.denominator, ratio.numerator) if ratio is not None else (1, 1)
-    total = u0 * wx + v0 * wy
+    """Integer weights (w_x, w_y, w_z) making z^2 + g weighted homogeneous:
+    the grading of g, doubled when its degree is odd so that w_z is whole."""
+    grading = quasi_homogeneous_grading(cover.g)
+    if grading is None:
+        raise NotQuasiHomogeneousError(f"{cover.g.render()} is not quasi-homogeneous")
+    wx, wy, total = grading
     if total % 2:
         wx, wy, total = 2 * wx, 2 * wy, 2 * total
     return wx, wy, total // 2

@@ -45,6 +45,14 @@ class WittLengthError(ValueError):
     """Witt vector length outside [1, LENGTH_CAP]."""
 
 
+def _checked_length(n: int) -> int:
+    """n, once it lies in [1, LENGTH_CAP]: checked before n components are
+    built, so a huge n fails at once."""
+    if not 1 <= n <= LENGTH_CAP:
+        raise WittLengthError(f"length {n} outside [1, {LENGTH_CAP}]")
+    return n
+
+
 class WittVector:
     """Immutable Witt vector (a_0, ..., a_{n-1}) of polynomials over F_p."""
 
@@ -54,10 +62,7 @@ class WittVector:
         if ring.char == 0:
             raise ValueError("Witt vectors require prime characteristic")
         components = tuple(components)
-        if not 1 <= len(components) <= LENGTH_CAP:
-            raise WittLengthError(
-                f"length {len(components)} outside [1, {LENGTH_CAP}]"
-            )
+        _checked_length(len(components))
         for a in components:
             if a.ring != ring:
                 raise RingMismatchError("component ring differs from Witt ring context")
@@ -68,7 +73,7 @@ class WittVector:
 
     @classmethod
     def zero(cls, ring: PolyRing, n: int) -> "WittVector":
-        return cls(ring, [ring.zero()] * n)
+        return cls.teichmuller(ring.zero(), n)
 
     @classmethod
     def one(cls, ring: PolyRing, n: int) -> "WittVector":
@@ -77,16 +82,17 @@ class WittVector:
     @classmethod
     def p_element(cls, ring: PolyRing, n: int) -> "WittVector":
         """p = (0, 1, 0, ..., 0)."""
-        if n < 2:
-            return cls.zero(ring, n)
-        comps = [ring.zero()] * n
-        comps[1] = ring.one()
+        comps = list(cls.zero(ring, n).components)
+        if n > 1:
+            comps[1] = ring.one()
         return cls(ring, comps)
 
     @classmethod
     def teichmuller(cls, f: Poly, n: int) -> "WittVector":
-        """[f] = (f, 0, ..., 0); multiplicative but not additive."""
-        return cls(f.ring, [f if i == 0 else f.ring.zero() for i in range(n)])
+        """[f] = (f, 0, ..., 0); multiplicative but not additive.  Every
+        constructor from a length comes here, and n is checked before any
+        component is built."""
+        return cls(f.ring, [f] + [f.ring.zero()] * (_checked_length(n) - 1))
 
     # -- basic structure ----------------------------------------------------
 

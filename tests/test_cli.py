@@ -302,6 +302,14 @@ class TestWittCommands:
         assert out == ""
         assert "outside [1, 8]" in err
 
+    @pytest.mark.parametrize("n", ["-1", "0", "9", "1000000000000"])
+    @pytest.mark.parametrize("argv", [("teich", "x"), ("add", "[x]", "[y]")])
+    def test_length_outside_the_cap_fails_at_once(self, capsys, argv, n):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "witt", argv[0], "--p", "3", "--n", n, *argv[1:])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (2, "", f"error: length {n} outside [1, 8]\n")
+
 
 class TestBatch:
     def test_bundled_catalog(self, capsys, tmp_path):

@@ -1,9 +1,10 @@
-"""Property tests: the incremental isolated-singularity check against a
-fresh solve for every degree, the Witt carry class against the direct
-integer formula and against nf(delta(nf(z^p))), the single z-degree of
-nf(z^p) that the carry class reads, and the membership's block walk against
-the whole box of Frobenius columns."""
+"""Property tests: the isolated-singularity check (its graded test and its
+incremental sweep) against a fresh solve for every degree, the Witt carry
+class against the direct integer formula and against nf(delta(nf(z^p))),
+the single z-degree of nf(z^p) that the carry class reads, and the
+membership's block walk against the whole box of Frobenius columns."""
 
+import json
 import os
 import sys
 
@@ -57,7 +58,7 @@ def _pure_power_in_ideal(target, gens, degree_cap):
 
 
 def reference_isolated(cover):
-    """The check as one independent solve per n, x first, then y."""
+    """The capped sweep as one independent solve per n, x first, then y."""
     g = cover.g
     gens = [g.derivative("x"), g.derivative("y")]
     if cover.p != 2:
@@ -98,8 +99,40 @@ def cover(p, g):
 @example(cover(3, "x*y"))  # x^1 needs the degree-0 multiples
 @example(cover(2, "x^2*y + y^4"))  # y^n found, x^n never
 @example(cover(3, "x^2"))  # neither found
+@example(cover(3, "x*y + x^3 + y^3"))  # not quasi-homogeneous: the sweep finds x, y at once
 def test_incremental_isolated_check_matches_per_degree_solves(cover):
     assert has_isolated_singularity(cover) == reference_isolated(cover)
+
+
+@st.composite
+def quasi_homogeneous_covers(draw):
+    """z^2 + g with 1-3 terms of total degree <= 4 on one weighted line
+    u w_x + v w_y = D, weights 1-4."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    (u0, v0), wx, wy = draw(st.sampled_from(MONOMIALS)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    line = [(u, v) for u, v in MONOMIALS if u * wx + v * wy == u0 * wx + v0 * wy]
+    terms = draw(st.dictionaries(st.sampled_from(line), st.integers(1, p - 1), min_size=1, max_size=3))
+    return DoubleCover(p, PolyRing(p, ("x", "y")).from_terms(terms))
+
+
+@settings(deadline=None, max_examples=30)
+@given(quasi_homogeneous_covers())
+@example(cover(2, "y"))  # g_x = 0 and g_y = 1: principal and the unit ideal
+@example(cover(2, "x^2*y + y^4"))  # g_x = 0: principal, not a unit
+@example(cover(3, "x^2*y^2"))  # not isolated
+@example(cover(3, "x^3 + y^4"))  # E6: odd p divides D = 12, so the sweep runs
+@example(cover(7, "x^3 + y^7"))  # odd p divides D = 21, so the sweep runs
+def test_graded_check_matches_the_sweep_on_quasi_homogeneous_covers(cover):
+    assert has_isolated_singularity(cover) == reference_isolated(cover)
+
+
+@pytest.mark.parametrize("g", ["x^4 + y^4", "x^3 + y^6"])
+def test_graded_check_spans_one_degree(monkeypatch, g):
+    # the capped sweep adds 108 and 234 rows here
+    quasi, calls, add = cover(23, g), [], linalg.GaussianBasis.add
+    monkeypatch.setattr(linalg.GaussianBasis, "add", lambda basis, row: calls.append(row) or add(basis, row))
+    assert has_isolated_singularity(quasi)
+    assert 0 < len(calls) <= 12
 
 
 def reference_carry(cover, splitting):
@@ -222,6 +255,20 @@ def test_block_walk_matches_the_whole_box(seed, count):
         cache.clear()
         checked += 1
     assert checked == count
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_workload_quasi_homogeneous_covers_match_the_sweep(seed):
+    covers = workload_covers(seed)
+    if seed == 1:
+        with open(workloads.CATALOG, encoding="utf-8") as handle:
+            lines = [json.loads(line) for line in handle]
+        catalog = [parse_doublecover(d["p"], d["poly"]) for d in lines if d["kind"] == "doublecover"]
+        assert len(catalog) == 5 and set(catalog) <= set(covers)
+    graded = [c for c in covers if localcoh.quasi_homogeneous_grading(c.g) is not None]
+    assert graded
+    for quasi in graded:
+        assert has_isolated_singularity(quasi) == reference_isolated(quasi), quasi
 
 
 @settings(deadline=None, max_examples=40)

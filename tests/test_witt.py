@@ -1,3 +1,6 @@
+import re
+import time
+
 import pytest
 
 from qfsplit.ring import PolyRing
@@ -235,6 +238,21 @@ class TestStructuralMaps:
         assert WittVector.zero(r3, 7).extend(1) == WittVector.zero(r3, 8)
         with pytest.raises(WittLengthError):
             WittVector.zero(r3, 8).extend(1)
+
+    @pytest.mark.parametrize("n", [-1, 0, 9, 10**12])
+    def test_length_is_checked_before_any_component_is_built(self, r3, n):
+        # a length of 10^12 must fail at once, not after building the list
+        message = re.escape(f"length {n} outside [1, 8]")
+        start = time.perf_counter()
+        for build in (
+            lambda: WittVector.teichmuller(r3.gen("x"), n),
+            lambda: WittVector.zero(r3, n),
+            lambda: WittVector.one(r3, n),
+            lambda: WittVector.p_element(r3, n),
+        ):
+            with pytest.raises(WittLengthError, match=f"^{message}$"):
+                build()
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_constructors_reject_lengths_below_one(self, r3, n):
