@@ -15,10 +15,11 @@ Frobenius-image code paths:
   p-th powers are spanned by x^{pu} y^{pv} and x^{pu} y^{pv} nf(z^p); the
   oracle reduces z^p itself once per call and builds every such row, and
   the socle numerator, by re-keying a shift of that one normal form.  The
-  delta twist is computed only when slot 0 does not answer, and only the
-  ``linalg.block`` of its support among the K_2 rows of the box is built:
-  the twist is tested for membership in one span, those rows plus the
-  block's slot-range monomials.
+  delta twist is computed only when slot 0 does not answer.  The slot-1
+  part of x^L Q + y^L Q is the monomial ideal (x^T, y^T), T = p^2 L, so
+  the test runs in the quotient by it, where finitely many K_2 rows are
+  left: is the twist's image in the span of the images of the rows of its
+  ``linalg.block``?
 
 * `splitting_search` looks for the splitting itself: a graded module
   homomorphism alpha: Q -> R with alpha(Phi(1)) = 1, solved for on the
@@ -83,17 +84,16 @@ def _k2_reducer(p: int, zp: dict, monomials) -> GaussianBasis:
     return basis
 
 
-def _k2_rows_holding(p: int, zp: dict, key: tuple, na: int, nb: int):
-    """The labels (u, v, eps), u < na and v < nb, of the ``_k2_row``s whose
-    support holds key = (x, y, w), found by reverse lookup: the monomial row
-    (x/p, y/p, 0) when w = 0 and p divides x and y, and for each term
-    (s, t, w) of zp the row ((x - s)/p, (y - t)/p, 1) when both quotients are
-    whole and >= 0."""
+def _k2_rows_holding(p: int, zp: dict, key: tuple):
+    """The labels (u, v, eps) of the ``_k2_row``s whose support holds
+    key = (x, y, w), found by reverse lookup: the monomial row (x/p, y/p, 0)
+    when w = 0 and p divides x and y, and for each term (s, t, w) of zp the
+    row ((x - s)/p, (y - t)/p, 1) when both quotients are whole and >= 0."""
     x, y, w = key
     for (s, t, zw), eps in [((0, 0, 0), 0)] + [(term, 1) for term in zp]:
         u, ru = divmod(x - s, p)
         v, rv = divmod(y - t, p)
-        if zw == w and not ru and not rv and 0 <= u < na and 0 <= v < nb:
+        if zw == w and not ru and not rv and u >= 0 and v >= 0:
             yield u, v, eps
 
 
@@ -103,7 +103,7 @@ def quasi2_cech_oracle(cover: DoubleCover) -> bool:
     The cover is 2-quasi-F-split iff the socle class does not vanish at
     level L = 1 + s, s = p^2: iff (xy)^s * Phi(socle-numerator), whose
     numerator is nf(z^p) shifted by (xy)^{p s}, is not in x^L Q + y^L Q.
-    Two facts make this one level exact.
+    Let T = p^2 L.  Three facts make this one finite, exact span test.
 
     Slot 0 is the socle test at every level.  The slot-0 columns x^L.(m, 0)
     and y^L.(m, 0) are the monomials divisible by x^{pL} or y^{pL}, and a
@@ -111,53 +111,52 @@ def quasi2_cech_oracle(cover: DoubleCover) -> bool:
     v + p s < p L, that is u, v < p.  Such a term keeps the class alive, and
     no delta is computed.  Otherwise the class vanishes iff its delta twist,
     nf(delta(nf(z^p))) shifted by (xy)^{p^2 s}, lies in the span of the
-    K_2 rows of the box and the slot-range monomials x^{p^2 L} m and
-    y^{p^2 L} m; a twist of 0 vanishes.
+    K_2 rows and the slot-1 part of x^L Q + y^L Q.
 
-    The shallower level s = p^2 - p is subsumed.  Going from it to
-    s = p^2 moves the twist's support and the box corner by p^3 in both
-    coordinates, maps the K_2 row of (u, v, eps) to that of
-    (u + p^2, v + p^2, eps), and grows both box extents by exactly p^2.
-    The slot ranges start at (p^2 L, 0) and (0, p^2 L), so their starts
-    move by p^3 along their own axis and each still reaches from 0 along
-    the other: the move maps every shallow slot-range monomial to a deep
-    one.  So every combination exhibiting a shallow vanishing, moved by
-    (xy)^{p^3}, exhibits the deep one: writing v_0 and v_1 for "vanishes
-    at the shallow, resp. deep, level", v_0 implies v_1, and the answer
-    not (v_0 or v_1) of testing both levels equals not v_1.
+    That slot-1 part is the slot ideal I = (x^T, y^T): x acts on slot 1 as
+    x^{p^2}, so x^L Q + y^L Q holds x^T m and y^T m in slot 1 for every
+    monomial m.  I is spanned by monomials, so the class vanishes iff
+    pi(twist) lies in the span of the pi(K_2 rows), where pi drops every
+    term with an exponent >= T; an empty pi(twist) does.  The K_2 row of
+    (u, v, eps) is x^{pu} y^{pv} nf(z^p)^eps, so a row with pu >= T or
+    pv >= T lies in I: only the rows with u, v < T/p = p (1 + p^2) remain.
+    Only the block of pi(twist) among them is built (``linalg.block``, which
+    decides the span test); a key outside I is held only by rows with
+    u <= x/p < T/p, so ``_k2_rows_holding`` needs no bound.
 
-    The box reaches p (1 + deg g) beyond the twist's support.  Only the K_2
-    rows of the twist's raw-row component are built (``linalg.block``,
-    walked by ``_k2_rows_holding``), which gives the whole box's answer:
-    span membership splits by block, and a slot-range monomial holds one
-    key, so it joins no two keys.
+    The shallower level s = p^2 - p is subsumed.  Its system has the ideal
+    (x^{T'}, y^{T'}), T' = p^2 (1 + p^2 - p), and the twist shift p^4 - p^3.
+    Multiplying by (xy)^{p^3} maps it to the deep system term by term: the
+    twist to the twist, the K_2 row of (u, v, eps) to that of
+    (u + p^2, v + p^2, eps), and x^{T'} m, y^{T'} m into I.  Writing v_0
+    and v_1 for "vanishes at the shallow, resp. deep, level", v_0 implies
+    v_1, so testing both levels answers not (v_0 or v_1) = not v_1.
+
+    Under the engine's label dictionary, key (x, y, w) <-> z^w / (x^{T-x}
+    y^{T-y}), pi(twist) is the carry eta, and the row of (u, v, eps) is
+    F(z^eps / (x^i y^j)) with i = T/p - u, j = T/p - v.  So the oracle
+    answers the Frobenius-image membership at label bound B = p (1 + p^2),
+    with its own code.
     """
     p = cover.p
     zp = _z_power_normal_form(cover)
     if any(u < p and v < p for u, v, _w in zp):
         return True
-    twist = _delta_normal_form(cover, zp)
-    if not twist:
-        return False
-    support = _shift(twist, p**4, p**4)
-    buffer = p * (1 + cover.g.total_degree())
-    box_x = max(x for x, _y, _w in support) + buffer
-    box_y = max(y for _x, y, _w in support) + buffer
-    na, nb = (box_x + buffer) // p + 1, (box_y + buffer) // p + 1
-    rows, component = block(
-        support,
-        lambda key: _k2_rows_holding(p, zp, key, na, nb),
-        lambda label: _k2_row(p, zp, *label),
+    bound = p * p * (1 + p * p)  # T = p^2 L
+
+    def pi(terms: dict) -> dict:
+        return {key: c for key, c in terms.items() if key[0] < bound and key[1] < bound}
+
+    twist = pi(_shift(_delta_normal_form(cover, zp), p**4, p**4))
+    rows, _keys = block(
+        twist,
+        lambda key: _k2_rows_holding(p, zp, key),
+        lambda label: pi(_k2_row(p, zp, *label)),
     )
-    span = _k2_reducer(p, zp, sorted(rows))
-    slot_shift = p * p * (1 + p * p)  # p^2 L
-    for x, y, w in sorted(component):
-        if any(
-            sx <= x <= max(sx, box_x) and sy <= y <= max(sy, box_y)
-            for sx, sy in ((slot_shift, 0), (0, slot_shift))
-        ):
-            span.add({(x, y, w): 1})
-    return not span.contains(support)
+    span = GaussianBasis(p)
+    for label in sorted(rows):
+        span.add(rows[label])
+    return not span.contains(twist)
 
 
 class NotQuasiHomogeneousError(ValueError):

@@ -194,7 +194,11 @@ class WittVector:
         return WittVector(self.ring, self.components[:-1])
 
     def extend(self, extra: int = 1) -> "WittVector":
-        """Append zero coordinates (a section of restriction)."""
+        """Append extra >= 0 zero coordinates (a section of restriction).  The
+        new length is checked before any coordinate is built."""
+        if extra < 0:
+            raise WittLengthError(f"cannot extend by {extra} coordinates")
+        _checked_length(self.n + extra)
         return WittVector(self.ring, self.components + (self.ring.zero(),) * extra)
 
 

@@ -239,6 +239,17 @@ class TestStructuralMaps:
         with pytest.raises(WittLengthError):
             WittVector.zero(r3, 8).extend(1)
 
+    def test_extend_checks_the_length_before_building(self, r3):
+        # 10^12 zero coordinates would exhaust memory if built first
+        start = time.perf_counter()
+        with pytest.raises(WittLengthError, match=f"^{re.escape('length 1000000000001 outside [1, 8]')}$"):
+            WittVector.zero(r3, 1).extend(10**12)
+        assert time.perf_counter() - start < 1.0
+
+    def test_extend_rejects_a_negative_count(self, r3):
+        with pytest.raises(WittLengthError, match="^cannot extend by -1 coordinates$"):
+            WittVector.zero(r3, 2).extend(-1)
+
     @pytest.mark.parametrize("n", [-1, 0, 9, 10**12])
     def test_length_is_checked_before_any_component_is_built(self, r3, n):
         # a length of 10^12 must fail at once, not after building the list
