@@ -9,12 +9,22 @@ carry polynomials.  Canonical term order is graded lexicographic
 that rendering and serialization are deterministic.
 
 Terms are stored under exponent tuples, but products run on packed keys:
-each ring has a fixed layout of one unsigned 64-bit field per variable, and
-the key of (e_1, ..., e_n) is the int sum e_i * 2^(64(i-1)).  Every stored
-exponent is at most 2^63 - 1 (``from_terms``, ``*``, ``mul_trunc`` and
-``frobenius_power`` reject larger ones), so the sum of two keys adds field
-by field with no carry, and a field of the sum has its top bit set exactly
-when the exponent sum passed 2^63 - 1.
+each ring has a fixed layout of one unsigned 64-bit field per variable,
+followed by one zero pad byte, and the key of (e_1, ..., e_n) is the int
+sum e_i * 2^(72(i-1)).  Every stored exponent is at most 2^63 - 1
+(``from_terms``, ``*``, ``mul_trunc`` and ``frobenius_power`` reject larger
+ones), so the sum of two keys adds field by field with no carry, and a
+field of the sum has its top bit set exactly when the exponent sum passed
+2^63 - 1.  The pad keeps keys apart in dicts: Python hashes an int modulo
+2^61 - 1, and 2^72 is 2^11 there, so field i hashes with multiplier
+2^(11(i-1)) and keys with every exponent below 2^11 in up to 5 variables
+hash to distinct values (with 64-bit fields, e_1 + e_2 * 2^64 would hash
+to e_1 + 8 e_2, and a dense bivariate grid would share few hash values).
+
+The pair loop of every product (``multiply_terms``) and the add loop of
+every sum (``add_terms``) are module functions that ``Poly`` and the Witt
+kernel share; the Witt kernel keeps its coordinates as packed-key term maps
+{key: coeff} through a whole sum or product and unpacks once.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from __future__ import annotations
 import operator
 import struct
 from itertools import chain
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 MAX_EXPONENT = 2**31 - 1  # largest exponent the parser accepts
 _EXPONENT_LIMIT = 2**63 - 1
@@ -57,6 +67,48 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def multiply_terms(
+    left: Iterable[tuple[int, int]], right: Collection[tuple[int, int]], mask: int, cut=None
+) -> dict[int, int]:
+    """The raw product of two packed-key term maps, each given as its
+    (key, coeff) pairs: c1*c2 summed at k1 + k2 over every pair, as
+    unreduced integers that may be 0; the caller reduces each output term
+    once, mod p or over Z.  A pair whose key sum has a bit of mask set
+    raises ExponentOverflowError when cut is None, is skipped when cut is
+    True, and is skipped when cut(sum) is true, raising otherwise, when cut
+    is a function."""
+    out: dict[int, int] = {}
+    get = out.get
+    for k1, c1 in left:
+        for k2, c2 in right:
+            k = k1 + k2
+            if k & mask:
+                if cut is True or (cut is not None and cut(k)):
+                    continue
+                raise ExponentOverflowError("exponent overflow in product")
+            out[k] = get(k, 0) + c1 * c2
+    return out
+
+
+def add_terms(total: dict, other: Mapping, p: int) -> None:
+    """Add the term map other into total in place, coefficients mod p
+    (p = 0: over Z), dropping the terms that cancel."""
+    get = total.get
+    for key, c in other.items():
+        s = (get(key, 0) + c) % p if p else get(key, 0) + c
+        if s:
+            total[key] = s
+        elif key in total:
+            del total[key]
+
+
+def scale_terms(terms: Mapping, c: int, p: int) -> dict:
+    """c times the term map terms, coefficients mod p (p = 0: over Z)."""
+    if not p:
+        return {key: a * c for key, a in terms.items()} if c else {}
+    return {key: v for key, a in terms.items() if (v := a * c % p)}
+
+
 def term_sort_key(exponents: tuple[int, ...]) -> tuple:
     """Graded-lex key: total degree first, then x-heavy terms first."""
     return (sum(exponents), tuple(-e for e in exponents))
@@ -65,7 +117,7 @@ def term_sort_key(exponents: tuple[int, ...]) -> tuple:
 class PolyRing:
     """Ring context: characteristic (0 or a prime < 2^16) and ordered variables."""
 
-    __slots__ = ("char", "variables", "_index", "_fields", "_ones")
+    __slots__ = ("char", "variables", "_index", "_fields", "_ones", "_mask")
 
     def __init__(self, char: int, variables: Iterable[str]):
         variables = tuple(variables)
@@ -82,9 +134,11 @@ class PolyRing:
         self.char = char
         self.variables = variables
         self._index = {name: i for i, name in enumerate(variables)}
-        # the packed-key layout (module docstring); _ones has 1 in every field
-        self._fields = struct.Struct(f"<{len(variables)}Q")
+        # the packed-key layout (module docstring); _ones has 1 in every
+        # field and _mask the top bit of every field
+        self._fields = struct.Struct("<" + "Qx" * len(variables))
         self._ones = int.from_bytes(self._fields.pack(*(1,) * len(variables)), "little")
+        self._mask = _TOP_BIT * self._ones
 
     @property
     def nvars(self) -> int:
@@ -133,6 +187,27 @@ class PolyRing:
                 elif exps in out:
                     del out[exps]
         return Poly(self, out, _internal=True)
+
+    def from_packed(self, terms: Mapping[int, int]) -> "Poly":
+        """The Poly of a packed-key term map of this ring (``Poly.packed``)
+        whose coefficients are already reduced and nonzero."""
+        unpack, size = self._fields.unpack, self._fields.size
+        out = {unpack(k.to_bytes(size, "little")): c for k, c in terms.items()}
+        return Poly(self, out, _internal=True)
+
+    def frobenius_terms(self, terms: Mapping[int, int], factor: int) -> dict[int, int]:
+        """The packed term map with every exponent multiplied by factor >= 1:
+        each key times factor.  Each key is first biased by 2^63 - 1 - L in
+        every field, L = (2^63 - 1) // factor, so a field's top bit is set
+        exactly when its exponent times factor would pass 2^63 - 1; that
+        raises ExponentOverflowError before any field can spill into the
+        next."""
+        bias = (_EXPONENT_LIMIT - _EXPONENT_LIMIT // factor) * self._ones
+        mask = self._mask
+        for k in terms:
+            if (k + bias) & mask:
+                raise ExponentOverflowError("exponent overflow in Frobenius power")
+        return {k * factor: c for k, c in terms.items()}
 
     def zero(self) -> "Poly":
         return Poly(self, {}, _internal=True)
@@ -194,6 +269,11 @@ class Poly:
     def term_map(self) -> dict[tuple[int, ...], int]:
         return dict(self._terms)
 
+    def packed(self) -> dict[int, int]:
+        """The terms under packed keys (module docstring)."""
+        pack = self.ring._fields.pack
+        return {int.from_bytes(pack(*e), "little"): c for e, c in self._terms.items()}
+
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -224,14 +304,7 @@ class Poly:
             other = self.ring.constant(other)
         self._check_ring(other)
         out = dict(self._terms)
-        get = out.get
-        p = self.ring.char
-        for exps, c in other._terms.items():
-            s = (get(exps, 0) + c) % p if p else get(exps, 0) + c
-            if s:
-                out[exps] = s
-            elif exps in out:
-                del out[exps]
+        add_terms(out, other._terms, self.ring.char)
         return Poly(self.ring, out, _internal=True)
 
     __radd__ = __add__
@@ -250,15 +323,7 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, int):
-            c = self.ring._normalize(other)
-            if not c:
-                return self.ring.zero()
-            norm = self.ring._normalize
-            out = {}
-            for exps, a in self._terms.items():
-                v = norm(a * c)
-                if v:
-                    out[exps] = v
+            out = scale_terms(self._terms, other, self.ring.char)
             return Poly(self.ring, out, _internal=True)
         self._check_ring(other)
         return Poly(self.ring, self._accumulate(other, 2**64), _internal=True)
@@ -270,30 +335,26 @@ class Poly:
         2^64 exceeds every sum of two stored exponents, so nothing is cut.
         other must have every exponent below q.
 
-        One pass sums c1*c2 at k1 + k2 over every pair of packed keys.  Each
-        field of every right key carries the bias 2^63 - min(q, 2^63), so a
-        field of k1 + k2 has its top bit set exactly when its exponent sum
-        reaches min(q, 2^63).  Such a pair is skipped if some sum reaches q
-        and raises ExponentOverflowError otherwise: then a sum passed
-        2^63 - 1.  The raw integer sums are reduced mod p once per output
-        term, and the terms that cancel are dropped then."""
+        ``multiply_terms`` runs the pairs on packed keys.  Each field of
+        every right key carries the bias 2^63 - min(q, 2^63), so a field of
+        k1 + k2 has its top bit set exactly when its exponent sum reaches
+        min(q, 2^63).  Such a pair is skipped if some sum reaches q and
+        raises ExponentOverflowError otherwise: then a sum passed
+        2^63 - 1.  The raw sums are reduced mod p once per output term, and
+        the terms that cancel are dropped then."""
         ring = self.ring
-        fields, ones = ring._fields, ring._ones
-        pack, unpack, size = fields.pack, fields.unpack, fields.size
-        bias = (_TOP_BIT - q) * ones if q < _TOP_BIT else 0
-        mask = _TOP_BIT * ones
+        pack, unpack, size = ring._fields.pack, ring._fields.unpack, ring._fields.size
+        if q >= 2 * _TOP_BIT:
+            bias, cut = 0, None
+        elif q < _TOP_BIT:
+            # every exponent is below q < 2^63, so no sum passes 2^63 - 1:
+            # every pair with a top bit set is cut
+            bias, cut = (_TOP_BIT - q) * ring._ones, True
+        else:
+            bias, cut = 0, lambda k: max(unpack(k.to_bytes(size, "little"))) >= q
+        left = [(int.from_bytes(pack(*e), "little"), c) for e, c in self._terms.items()]
         right = [(int.from_bytes(pack(*e), "little") + bias, c) for e, c in other._terms.items()]
-        out: dict[int, int] = {}
-        get = out.get
-        for e1, c1 in self._terms.items():
-            k1 = int.from_bytes(pack(*e1), "little")
-            for k2, c2 in right:
-                k = k1 + k2
-                if k & mask:
-                    if bias or max(unpack(k.to_bytes(size, "little"))) >= q:
-                        continue
-                    raise ExponentOverflowError("exponent overflow in product")
-                out[k] = get(k, 0) + c1 * c2
+        out = multiply_terms(left, right, ring._mask, cut)
         p = ring.char
         return {
             unpack((k - bias).to_bytes(size, "little")): r

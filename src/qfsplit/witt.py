@@ -21,6 +21,18 @@ j = j_0 + p j', so every power of p or more is an exponent scaling.  When
 b = r*a for a constant r (such as two constants, or two multiples of one
 monomial), homogeneity gives tau_k(a, b) = tau_k(1, r) * a^{p^{k+1}}, with
 tau(1, r) read off W_n(F_p) = Z/p^n, so such heads never need a table.
+Other heads evaluate each trie node by Horner's rule (see ``_carry``):
+homogeneity splits a node's children by digit sum into at most two
+groups, and each group is one Horner pass in a, so every product is a
+running value times a head or a power of one.
+
+Sums, products, negatives and ``eval_at_teichmuller`` run on coordinates
+held as packed-key term maps {key: coeff} (see ``ring``): each operation
+packs its operands once, multiplies and adds them with the ring's own pair
+and add loops (``multiply_terms``, ``add_terms``), takes a Frobenius power
+as one multiplication of every key by p^k (``PolyRing.frobenius_terms``,
+which raises ExponentOverflowError for an exponent past 2^63 - 1), and
+unpacks the result once.
 
 The ghost route stays as the reference the tests compare against and as
 the builder of tau: lift each coordinate to its representative in [0, p),
@@ -36,7 +48,7 @@ from __future__ import annotations
 import functools
 from typing import Sequence
 
-from .ring import Poly, PolyRing, RingMismatchError
+from .ring import Poly, PolyRing, RingMismatchError, add_terms, multiply_terms, scale_terms
 
 LENGTH_CAP = 8
 
@@ -160,13 +172,13 @@ class WittVector:
 
     def __add__(self, other: "WittVector") -> "WittVector":
         self._check(other)
-        return WittVector(self.ring, _sum(self.ring, self.n, [self.components, other.components]))
+        return _unpacked(self.ring, _sum(self.ring, self.n, [_packed(self), _packed(other)]))
 
     def __neg__(self) -> "WittVector":
         ring = self.ring
         if ring.char == 2:
-            minus_one = (ring.one(),) * self.n
-            return WittVector(ring, _product(ring, minus_one, self.components))
+            minus_one = ({0: 1},) * self.n
+            return _unpacked(ring, _product(ring, minus_one, _packed(self)))
         return WittVector(ring, [-a for a in self.components])
 
     def __sub__(self, other: "WittVector") -> "WittVector":
@@ -175,7 +187,7 @@ class WittVector:
 
     def __mul__(self, other: "WittVector") -> "WittVector":
         self._check(other)
-        return WittVector(self.ring, _product(self.ring, self.components, other.components))
+        return _unpacked(self.ring, _product(self.ring, _packed(self), _packed(other)))
 
     # -- structural maps ----------------------------------------------------
 
@@ -210,7 +222,36 @@ def _ghost_sum(lift_ring: PolyRing, p: int, powers: Sequence[Poly]) -> Poly:
     return total
 
 
-Coords = tuple[Poly, ...]
+Terms = dict[int, int]  # packed key -> coefficient in [1, p), see ``ring``
+Coords = tuple[Terms, ...]
+
+
+def _packed(a: WittVector) -> Coords:
+    return tuple(c.packed() for c in a.components)
+
+
+def _unpacked(ring: PolyRing, coords: Coords) -> WittVector:
+    return WittVector(ring, [ring.from_packed(c) for c in coords])
+
+
+def _merged(a: Terms, b: Terms, p: int) -> Terms:
+    """a + b for two term maps the caller owns: the smaller is added into the
+    larger, which is returned."""
+    if len(a) < len(b):
+        a, b = b, a
+    add_terms(a, b, p)
+    return a
+
+
+def _times(ring: PolyRing, a: Terms, b: Terms) -> Terms:
+    p = ring.char
+    out = multiply_terms(a.items(), b.items(), ring._mask)
+    return {k: r for k, c in out.items() if (r := c % p)}
+
+
+def _frobenius(ring: PolyRing, a: Terms, k: int = 1) -> Terms:
+    """a^{p^k}: every exponent times p^k; k = 0 returns a."""
+    return ring.frobenius_terms(a, ring.char**k) if k else a
 
 
 def _sum(ring: PolyRing, n: int, vectors: Sequence[Coords]) -> Coords:
@@ -221,77 +262,97 @@ def _sum(ring: PolyRing, n: int, vectors: Sequence[Coords]) -> Coords:
     """
     vectors = [v for v in vectors if any(v)]
     if len(vectors) < 2:
-        return vectors[0] if vectors else (ring.zero(),) * n
-    head, tails = ring.zero(), [v[1:] for v in vectors]
+        return vectors[0] if vectors else ({},) * n
+    head: Terms = {}
+    tails = [v[1:] for v in vectors]
     for v in vectors:
         if n > 1 and head and v[0]:
-            tails.append(_carry(head, v[0], n))
-        head = head + v[0]
+            tails.append(_carry(ring, head, v[0], n))
+        add_terms(head, v[0], ring.char)
     return (head,) + (_sum(ring, n - 1, tails) if n > 1 else ())
 
 
-def _teichmuller_times(t: Poly, c: Coords) -> Coords:
+def _teichmuller_times(ring: PolyRing, t: Terms, c: Coords) -> Coords:
     """[t]*(c_0, c_1, ...) = (t c_0, t^p c_1, t^{p^2} c_2, ...)."""
-    return tuple(t.frobenius_power(k) * ck for k, ck in enumerate(c))
+    return tuple(_times(ring, _frobenius(ring, t, k), ck) for k, ck in enumerate(c))
 
 
 def _product(ring: PolyRing, a: Coords, b: Coords) -> Coords:
     """Product in W_n of coordinate tuples of length n (see module docstring)."""
     n = len(a)
-    head = a[0] * b[0]
+    head = _times(ring, a[0], b[0])
     if n == 1:
         return (head,)
     a1, b1 = a[1:], b[1:]
     parts = [
-        _teichmuller_times(a[0].frobenius_power(), b1),
-        _teichmuller_times(b[0].frobenius_power(), a1),
+        _teichmuller_times(ring, _frobenius(ring, a[0]), b1),
+        _teichmuller_times(ring, _frobenius(ring, b[0]), a1),
     ]
     if n > 2 and any(a1[:-1]) and any(b1[:-1]):
         c = _product(ring, a1[:-1], b1[:-1])
-        parts.append((ring.zero(),) + tuple(ci.frobenius_power() for ci in c))
+        parts.append(({},) + tuple(_frobenius(ring, ci) for ci in c))
     return (head,) + _sum(ring, n - 1, parts)
 
 
-def _ratio(a: Poly, b: Poly) -> int | None:
+def _ratio(a: Terms, b: Terms, p: int) -> int | None:
     """r in F_p with b = r*a, or None when b is no constant multiple of a."""
-    ta, tb = a.term_map(), b.term_map()
-    if ta.keys() != tb.keys():
+    if a.keys() != b.keys():
         return None
-    p = a.ring.char
-    e = next(iter(ta))
-    r = tb[e] * pow(ta[e], -1, p) % p
-    return r if all(tb[k] == r * c % p for k, c in ta.items()) else None
+    e = next(iter(a))
+    r = b[e] * pow(a[e], -1, p) % p
+    return r if all(b[k] == r * c % p for k, c in a.items()) else None
 
 
-def _carry(a: Poly, b: Poly, n: int) -> Coords:
-    """tau(a, b) in W_{n-1}: [a] + [b] = [a+b] + V(tau(a, b)) in W_n."""
-    ring = a.ring
+def _carry(ring: PolyRing, a: Terms, b: Terms, n: int) -> Coords:
+    """tau(a, b) in W_{n-1}: [a] + [b] = [a+b] + V(tau(a, b)) in W_n.
+
+    Each trie node (see ``_digit_trie``) is sum X^i Y^j F(Q_ij) over its
+    children, and homogeneity splits them by digit sum s = i + j into at
+    most two groups.  A group sum_i G_i a^i b^{s-i}, G_i = Q_ij(a, b)^p, is
+    taken as a^lo b^{s-hi} (Horner in a over G_i b^{hi-i}) for its least and
+    greatest i, so every product is an accumulator or a child value times a
+    head or a power of one, never a^i times b^j.
+    """
     p = ring.char
-    r = _ratio(a, b)
+    r = _ratio(a, b, p)
     if r is not None:
         # tau_k is homogeneous of degree p^{k+1}: tau_k(a, r a) = tau_k(1, r) a^{p^{k+1}}
-        return tuple(c * a.frobenius_power(k + 1) for k, c in enumerate(_scalar_carry(p, n, r)))
-    a_powers, b_powers = [ring.one(), a], [ring.one(), b]
-    products: dict[tuple[int, int], Poly] = {}
+        return tuple(
+            scale_terms(_frobenius(ring, a, k + 1), c, p)
+            for k, c in enumerate(_scalar_carry(p, n, r))
+        )
+    a_powers, b_powers = [{0: 1}, a], [{0: 1}, b]
 
-    def power(i: int, j: int) -> Poly:
-        """a^i b^j for 0 <= i, j < p, not both 0."""
-        if (i, j) not in products:
-            while len(a_powers) <= i:
-                a_powers.append(a_powers[-1] * a)
-            while len(b_powers) <= j:
-                b_powers.append(b_powers[-1] * b)
-            if i and j:
-                products[i, j] = a_powers[i] * b_powers[j]
-            else:
-                products[i, j] = a_powers[i] if i else b_powers[j]
-        return products[i, j]
+    def power(powers: list[Terms], e: int) -> Terms:
+        """powers[1]^e, extending the list of powers one head at a time."""
+        while len(powers) <= e:
+            powers.append(_times(ring, powers[-1], powers[1]))
+        return powers[e]
 
-    def evaluate(trie) -> Poly:
-        total = ring.zero()
+    def evaluate(trie) -> Terms:
+        groups: dict[int, dict[int, object]] = {}
         for (i, j), child in trie:
-            value = child if isinstance(child, int) else evaluate(child).frobenius_power()
-            total = total + (value * power(i, j) if i or j else value)
+            groups.setdefault(i + j, {})[i] = child
+        total: Terms = {}
+        for s, row in groups.items():
+            lo, hi = min(row), max(row)
+            acc: Terms = {}
+            for i in range(hi, lo - 1, -1):
+                if acc:
+                    acc = _times(ring, acc, a)
+                if i in row:
+                    child, e = row[i], hi - i
+                    if isinstance(child, int):
+                        term = scale_terms(power(b_powers, e), child, p)
+                    else:
+                        term = _frobenius(ring, evaluate(child))
+                        if e:
+                            term = _times(ring, term, power(b_powers, e))
+                    acc = _merged(acc, term, p)
+            for powers, e in ((a_powers, lo), (b_powers, s - hi)):
+                if e and acc:
+                    acc = _times(ring, acc, power(powers, e))
+            total = _merged(total, acc, p)
         return total
 
     return tuple(evaluate(trie) for trie in _carry_table(p, n))
@@ -379,10 +440,9 @@ def eval_at_teichmuller(f: Poly, n: int) -> WittVector:
     that is, the sum of the lifts [c x^e] of f's terms, taken by one _sum."""
     ring = f.ring
     lifts = [
-        WittVector.teichmuller(ring.from_terms({exps: c}), n).components
-        for exps, c in f.terms()
+        _packed(WittVector.teichmuller(ring.from_terms({exps: c}), n)) for exps, c in f.terms()
     ]
-    return WittVector(ring, _sum(ring, n, lifts))
+    return _unpacked(ring, _sum(ring, _checked_length(n), lifts))
 
 
 def teichmuller_identity_sides(f: Poly) -> tuple[WittVector, WittVector]:

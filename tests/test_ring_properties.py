@@ -2,7 +2,10 @@
 ``mul_trunc`` against a term-by-term reference over F_p and over Z, in 0 to
 4 variables and at the 2^63 - 1 exponent limit, and arithmetic in the
 quotient by (x_1^q, ..., x_n^q), where truncated products and powers must
-equal the truncated full results."""
+equal the truncated full results.  Also the packed keys themselves: their
+Frobenius scaling at the limit, and their hashes."""
+
+import itertools
 
 import pytest
 
@@ -196,3 +199,50 @@ def test_pow_trunc_over_the_integers():
     for e in (0, 1, 4, 7):
         for q in (1, 3, 6):
             assert f.pow_trunc(e, q) == (f**e).truncate(q)
+
+
+@settings(deadline=None, max_examples=200)
+@given(limit_operands(), st.integers(1, 3))
+def test_packed_frobenius_is_the_frobenius_power(case, k):
+    # every key times p^k, with a field that would pass 2^63 - 1 raising
+    # before it can spill into the next field
+    a, _ = case
+    ring = a.ring
+    if not ring.char:
+        return
+    try:
+        expected = a.frobenius_power(k)
+    except ExponentOverflowError:
+        with pytest.raises(ExponentOverflowError):
+            ring.frobenius_terms(a.packed(), ring.char**k)
+    else:
+        assert ring.from_packed(ring.frobenius_terms(a.packed(), ring.char**k)) == expected
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(0, 2**11 - 1)] * n), min_size=2, max_size=2)
+    )
+)
+def test_distinct_exponents_below_2_11_hash_apart(pair):
+    # the key of (e_1, ..., e_n) hashes to sum e_i 2^(11(i-1)) modulo 2^61 - 1
+    ring = PolyRing(2, VARIABLES[: len(pair[0])])
+    keys = [next(iter(ring.from_terms({exps: 1}).packed())) for exps in pair]
+    assert (hash(keys[0]) == hash(keys[1])) == (pair[0] == pair[1])
+
+
+@pytest.mark.parametrize(
+    "nvars, values",
+    [
+        (2, range(300)),
+        (2, range(0, 2**11, 7)),
+        (4, [0, 1, 2, 3, 7, 8, 9, 64, 1023, 1024, 2046, 2047]),
+    ],
+)
+def test_packed_keys_of_a_dense_grid_hash_apart(nvars, values):
+    # with 64-bit fields and no pad, e_1 + e_2 2^64 hashed to e_1 + 8 e_2:
+    # the 300 x 300 grid shared 2,692 hash values
+    ring = PolyRing(2, VARIABLES[:nvars])
+    grid = ring.from_terms(dict.fromkeys(itertools.product(values, repeat=nvars), 1))
+    assert len({hash(k) for k in grid.packed()}) == len(values) ** nvars
