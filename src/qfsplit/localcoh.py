@@ -21,7 +21,6 @@ from .ring import Poly, PolyRing
 
 FLAG_ASSUMED_DOMAIN = "assumed-domain"
 FLAG_SOCLE_CRITERION = "socle-criterion-verdict"
-FLAG_BOUND_ESCALATED = "membership-bound-escalated"
 
 
 class SocleSurvivesError(ValueError):
@@ -260,19 +259,14 @@ def witt_carry_class(cover: DoubleCover) -> H2Class:
 
 @dataclass(frozen=True)
 class MembershipResult:
-    """Outcome of the Frobenius-image membership solve."""
+    """Outcome of the Frobenius-image membership solve at the label bound
+    ``bound`` = p(1 + p^2)."""
 
     feasible: bool
     coefficients: dict[tuple[int, int, int], int] | None
     witness: dict[tuple[int, int, int], int] | None
     bound: int
-    escalations: int
-
-
-def _candidate_bound(cover: DoubleCover) -> int:
-    """ceil((p^2 + (p-1)/2 * deg g + p) / p), in integers."""
-    p = cover.p
-    return -(-(2 * p * p + (p - 1) * cover.g.total_degree() + 2 * p) // (2 * p))
+    escalations: int  # always 0; the benchmark's tracer still reads it
 
 
 def _frobenius_label_holders(cover: DoubleCover, bound: int):
@@ -301,47 +295,50 @@ def _frobenius_label_holders(cover: DoubleCover, bound: int):
 
 
 def frobenius_image_membership(eta: H2Class, cover: DoubleCover) -> MembershipResult:
-    """Decide eta in span_{F_p}{ F(z^eps/(x^i y^j)) } by exact linear algebra.
+    """Decide eta in span_{F_p}{ F(z^eps/(x^i y^j)) : i, j <= B } by exact
+    linear algebra, at the label bound B = p(1 + p^2).
 
-    Candidate sources are bounded by i, j <= B; a term of F(z^eps/(x^i y^j))
-    has denominator x-exponent at least p*i minus the z-reduction growth, so
-    sources beyond B cannot meet eta's support.  Only the block of eta is
-    built, by ``linalg.block`` with the reverse lookup
-    _frobenius_label_holders.  ``linalg.solve`` still gets one column per
-    label of the box, at index (eps*B + i - 1)*B + j - 1; every label off the
-    block gets an empty column, which changes no answer (see ``block``).  A
-    too-small bound shows up as an infeasible system and is retried with B
-    doubled.
+    For the Witt carry class this bound is exact.  Under the label
+    dictionary z^w/(x^{T-x} y^{T-y}) <-> key (x, y, w), T = p^2 (1 + p^2),
+    the span at B is ``quasi2_cech_oracle``'s span test at level 1 + p^2
+    (see its docstring): the carry is its projected twist, and the
+    Frobenius images of the labels with i, j <= B are its K_2 rows.  That
+    test is the Cech vanishing itself, so the carry is in the span exactly
+    when the cover is not 2-quasi-F-split, with no guess and no retry.
 
-    Feasibility is monotone in B (a larger bound only adds columns), so a
-    feasible answer is final.  An infeasible one is not a proof: stopping
-    once the doubled bound is infeasible too is a stopping rule, not a
-    certificate that no larger B succeeds.  The exact graded system that
-    removes the guess is ROADMAP item 3.  Columns come from
+    Only the block of eta is built, by ``linalg.block`` with the reverse
+    lookup _frobenius_label_holders, and the block decides the span exactly
+    (see ``block``).  So the box handed to ``linalg.solve`` only has to
+    hold the block: its labels have i, j in [lo, lo + b), the range of the
+    indices the block reaches ([1, 1] when it is empty), label (eps, i, j)
+    is column (eps*b + i - lo)*b + j - lo of the 2b^2, in label order, and
+    every label off the block is an empty column.  Columns come from
     _frobenius_label_image, the routine behind frobenius_h2.
     """
     p = cover.p
+    bound = p * (1 + p * p)
     rhs = eta.term_map()
+    reached, _ = linalg.block(
+        rhs,
+        _frobenius_label_holders(cover, bound),
+        lambda label: _frobenius_label_image(label, cover),
+    )
+    indices = [k for _, i, j in reached for k in (i, j)] or [1]
+    lo = min(indices)
+    b = max(indices) - lo + 1
     empty = MappingProxyType({})  # every label off the block shares it
-    first = _candidate_bound(cover)
-    for escalations, bound in enumerate((first, 2 * first)):
-        reached, _ = linalg.block(
-            rhs,
-            _frobenius_label_holders(cover, bound),
-            lambda label: _frobenius_label_image(label, cover),
-        )
-        columns = [empty] * (2 * bound * bound)
-        for (eps, i, j), image in reached.items():
-            columns[(eps * bound + i - 1) * bound + j - 1] = image
-        solution, witness = linalg.solve(columns, rhs, p)
-        if solution is not None:
-            coeffs = {}
-            for idx, c in enumerate(solution):
-                if c:
-                    eps, ij = divmod(idx, bound * bound)
-                    coeffs[(eps, ij // bound + 1, ij % bound + 1)] = c
-            return MembershipResult(True, coeffs, None, bound, escalations)
-    return MembershipResult(False, None, witness, bound, escalations)
+    columns = [empty] * (2 * b * b)
+    for (eps, i, j), image in reached.items():
+        columns[(eps * b + i - lo) * b + j - lo] = image
+    solution, witness = linalg.solve(columns, rhs, p)
+    if solution is None:
+        return MembershipResult(False, None, witness, bound, 0)
+    coeffs = {}
+    for idx, c in enumerate(solution):
+        if c:
+            eps, ij = divmod(idx, b * b)
+            coeffs[(eps, ij // b + lo, ij % b + lo)] = c
+    return MembershipResult(True, coeffs, None, bound, 0)
 
 
 def quasi_homogeneous_grading(g: Poly) -> tuple[int, int, int] | None:
@@ -462,7 +459,8 @@ def analyze(cover: DoubleCover) -> LocalCohAnalysis:
 
     A surviving socle certifies F-splitness (height 1).  Otherwise the
     carry class decides: the cover is 2-quasi-F-split iff the carry escapes
-    the image of Frobenius on H^2.
+    the span of the Frobenius images at the label bound p(1 + p^2), which
+    is the Cech criterion (see frobenius_image_membership).
     """
     flags = [FLAG_ASSUMED_DOMAIN]
     if not has_isolated_singularity(cover):
@@ -473,9 +471,6 @@ def analyze(cover: DoubleCover) -> LocalCohAnalysis:
         return LocalCohAnalysis(verdict, socle_image, None, None)
     carry = witt_carry_class(cover)
     membership = frobenius_image_membership(carry, cover)
-    if membership.feasible and membership.escalations:
-        # the initial candidate bound was under-inclusive
-        flags.append(FLAG_BOUND_ESCALATED)
     verdict = Verdict(f_split=False, quasi2=not membership.feasible, flags=tuple(flags))
     return LocalCohAnalysis(verdict, socle_image, carry, membership)
 

@@ -152,7 +152,6 @@ def _membership_intermediates(analysis: LocalCohAnalysis) -> dict[str, Any]:
         cert: dict[str, Any] = {
             "feasible": membership.feasible,
             "bound": membership.bound,
-            "escalations": membership.escalations,
         }
         for name, labelled in (
             ("coefficients", membership.coefficients),

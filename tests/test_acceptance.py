@@ -274,7 +274,7 @@ def test_criterion_10_cli_determinism_and_golden(tmp_path):
 
 def test_criterion_10_explain_certificates_golden(tmp_path):
     # pins socle_image, carry and the membership certificate (bound,
-    # escalations, coefficients, witness_row) of every catalog entry
+    # coefficients, witness_row) of every catalog entry
     out = tmp_path / "explain.jsonl"
     proc = run_cli_subprocess("batch", "--explain", "src/qfsplit/data/catalog.jsonl", "-o", str(out))
     assert proc.returncode == 0

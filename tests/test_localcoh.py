@@ -1,6 +1,3 @@
-from fractions import Fraction
-from math import ceil
-
 import pytest
 
 from qfsplit import linalg
@@ -9,7 +6,6 @@ from qfsplit.localcoh import (
     DoubleCover,
     H2Class,
     SocleSurvivesError,
-    _candidate_bound,
     analyze,
     frobenius_h2,
     frobenius_image_membership,
@@ -246,15 +242,6 @@ class TestFrobeniusImage:
         carry = witt_carry_class(e6_p3)
         ((_, a, b),) = [key for key, _ in carry.terms()]
         assert (a % 3, b % 3) == (0, 1)
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
-def test_candidate_bound_is_the_rational_ceiling(p):
-    ring = PolyRing(p, ("x", "y"))
-    for d in range(1, 16):
-        cover = DoubleCover(p, ring.monomial({"x": d}) + ring.gen("y"))
-        growth = Fraction(p - 1, 2) * d
-        assert _candidate_bound(cover) == max(1, ceil((Fraction(p * p) + growth + p) / p))
 
 
 class TestIsolatedHeuristic:

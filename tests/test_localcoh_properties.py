@@ -23,7 +23,6 @@ from qfsplit.localcoh import (  # noqa: E402
     DoubleCover,
     H2Class,
     MembershipResult,
-    _candidate_bound,
     _frobenius_label_holders,
     _frobenius_label_image,
     frobenius_h2,
@@ -194,17 +193,41 @@ def box_columns(cover, bound, cache):
     return cache[cover, bound]
 
 
-def whole_box_membership(eta, cover, cache):
-    """The membership as the whole-box builder: every column of the box,
-    then ``linalg.solve``, at the candidate bound B and then at 2B."""
-    first = _candidate_bound(cover)
-    for escalations, bound in enumerate((first, 2 * first)):
-        labels = box_labels(bound)
-        solution, witness = linalg.solve(box_columns(cover, bound, cache), eta.term_map(), cover.p)
-        if solution is not None:
-            coeffs = {labels[idx]: c for idx, c in enumerate(solution) if c}
-            return MembershipResult(True, coeffs, None, bound, escalations)
-    return MembershipResult(False, None, witness, bound, escalations)
+def label_bound(cover):
+    """p(1 + p^2), the label bound of the membership."""
+    return cover.p * (1 + cover.p * cover.p)
+
+
+def former_bound(cover):
+    """The membership's former first bound B, ceil((p^2 + (p-1)/2 deg g + p) / p)."""
+    p = cover.p
+    return -(-(2 * p * p + (p - 1) * cover.g.total_degree() + 2 * p) // (2 * p))
+
+
+def holding_bound(cover, classes):
+    """A bound whose box holds the block of each class at p(1 + p^2): 2B, or
+    the largest label index of a block when that is larger."""
+    extents = [2 * former_bound(cover)]
+    for eta in classes:
+        reached, _ = linalg.block(
+            eta.term_map(),
+            _frobenius_label_holders(cover, label_bound(cover)),
+            lambda label: _frobenius_label_image(label, cover),
+        )
+        extents.extend(k for _, i, j in reached for k in (i, j))
+    return min(max(extents), label_bound(cover))
+
+
+def whole_box_membership(eta, cover, bound, cache):
+    """The membership as the whole-box builder: every column of the box
+    i, j <= bound, which must hold the block of eta, then one
+    ``linalg.solve``."""
+    labels = box_labels(bound)
+    solution, witness = linalg.solve(box_columns(cover, bound, cache), eta.term_map(), cover.p)
+    if solution is None:
+        return MembershipResult(False, None, witness, label_bound(cover), 0)
+    coeffs = {labels[idx]: c for idx, c in enumerate(solution) if c}
+    return MembershipResult(True, coeffs, None, label_bound(cover), 0)
 
 
 def workload_covers(seed):
@@ -222,22 +245,26 @@ def workload_covers(seed):
 
 
 def edge_classes(cover):
-    """F(z^eps/(x^B y^B)) and F(z^eps/(x^2B y^2B)), eps = 0, 1: the last
-    labels of the box at B and at 2B."""
-    first = _candidate_bound(cover)
+    """F(z^eps/(x^b y^b)), eps = 0, 1, for b = B, 2B, 2B + 1 (B the former
+    first bound) and p(1 + p^2), the last label of the box.  A b past
+    p(1 + p^2) is outside the box and left out: 2B + 1 = 11 > 10 at p = 2
+    once deg g >= 5."""
+    first = former_bound(cover)
     return {
-        (eps, bound): H2Class(cover.p, _frobenius_label_image((eps, bound, bound), cover))
-        for bound in (first, 2 * first)
+        (eps, b): H2Class(cover.p, _frobenius_label_image((eps, b, b), cover))
+        for b in (first, 2 * first, 2 * first + 1, label_bound(cover))
+        if b <= label_bound(cover)
         for eps in (0, 1)
     }
 
 
 @pytest.mark.parametrize("seed,count", [(1, 34), (2, 26), (3, 21)])
 def test_block_walk_matches_the_whole_box(seed, count):
+    # the box at p(1 + p^2) has 2p^2(1 + p^2)^2 columns (3e8 at p = 23), so
+    # the edge there is checked by its answer alone
     cache, checked = {}, 0
     for cover in workload_covers(seed):
         p = cover.p
-        first = _candidate_bound(cover)
         classes = [
             H2Class(p, {(1, 1, 1): 1}),
             H2Class(p, {(0, p, p): 1}),
@@ -245,13 +272,15 @@ def test_block_walk_matches_the_whole_box(seed, count):
         ]
         if frobenius_h2(socle(cover), cover).is_zero():
             classes.append(witt_carry_class(cover))
+        edges = edge_classes(cover)
+        classes.extend(eta for (_, b), eta in edges.items() if b < label_bound(cover))
+        bound = holding_bound(cover, classes)
         for eta in classes:
-            assert frobenius_image_membership(eta, cover) == whole_box_membership(eta, cover, cache)
-        for (eps, bound), eta in edge_classes(cover).items():
+            assert frobenius_image_membership(eta, cover) == whole_box_membership(eta, cover, bound, cache)
+        for (eps, b), eta in edges.items():
             result = frobenius_image_membership(eta, cover)
-            assert result == whole_box_membership(eta, cover, cache)
-            assert (result.feasible, result.escalations) == (True, int(bound > first))
-            assert result.coefficients == {(eps, bound, bound): 1}
+            assert (result.feasible, result.escalations) == (True, 0)
+            assert result.coefficients == {(eps, b, b): 1}
         cache.clear()
         checked += 1
     assert checked == count
@@ -278,7 +307,7 @@ def test_workload_quasi_homogeneous_covers_match_the_sweep(seed):
 def test_label_holders_are_the_exact_preimage(cover):
     # every key of a column of the 2B box, looked up in the box at B, gives
     # exactly the labels of that box whose Frobenius image holds the key
-    bound = _candidate_bound(cover)
+    bound = 6
     expected = {}
     for label in box_labels(bound):
         for key in _frobenius_label_image(label, cover):
@@ -303,30 +332,47 @@ def count_label_images(monkeypatch):
     return calls
 
 
-def test_empty_block_builds_no_column(monkeypatch):
+def count_walks_and_columns(monkeypatch):
+    """The bound of each block walk (one reverse lookup per walk) and the
+    column count of each solve."""
+    walks, columns = [], []
+    holders, solve = _frobenius_label_holders, linalg.solve
+    monkeypatch.setattr(localcoh, "_frobenius_label_holders", lambda c, b: walks.append(b) or holders(c, b))
+    monkeypatch.setattr(linalg, "solve", lambda cols, *args: columns.append(len(cols)) or solve(cols, *args))
+    return walks, columns
+
+
+@pytest.mark.parametrize("p", [23, 83])
+def test_empty_block_builds_no_column(monkeypatch, p):
     # height 2: the carry is outside the image, and no column of the box
-    # at B or at 2B touches any of its keys
-    quartic = cover(23, "x^4 + y^4")
+    # at p(1 + p^2) touches any of its keys
+    quartic = cover(p, "x^4 + y^4")
     carry = witt_carry_class(quartic)
     calls = count_label_images(monkeypatch)
+    walks, columns = count_walks_and_columns(monkeypatch)
     result = frobenius_image_membership(carry, quartic)
-    assert (result.feasible, result.escalations) == (False, 1)
+    assert (result.feasible, result.escalations) == (False, 0)
     assert calls == []
+    assert walks == [label_bound(quartic)]
+    assert len(columns) == 1 and columns[0] <= 2
 
 
 @pytest.mark.parametrize("p,g", [(3, "x^3 + y^4"), (5, "x^3 + y^5"), (7, "x^4 + y^4")])
 def test_feasible_edge_builds_only_its_block(monkeypatch, p, g):
-    # one image per label of the rhs block of the whole box, at each bound
-    # solved: B alone for the edge at B, B and then 2B for the edge at 2B
+    # one walk, and one image per label of the rhs block of a whole box
+    # that holds the block, for each edge but the last
     edge_cover = cover(p, g)
-    first = _candidate_bound(edge_cover)
     cache = {}
     calls = count_label_images(monkeypatch)
-    for (_, bound), eta in edge_classes(edge_cover).items():
-        block_labels = sum(
-            len(linalg._rhs_block(box_columns(edge_cover, solved, cache), eta.term_map()))
-            for solved in sorted({first, bound})
-        )
+    walks, _ = count_walks_and_columns(monkeypatch)
+    for (_, b), eta in edge_classes(edge_cover).items():
+        if b == label_bound(edge_cover):
+            continue
+        bound = holding_bound(edge_cover, [eta])
+        block_labels = len(linalg._rhs_block(box_columns(edge_cover, bound, cache), eta.term_map()))
         calls.clear()
-        assert frobenius_image_membership(eta, edge_cover).feasible
+        walks.clear()
+        result = frobenius_image_membership(eta, edge_cover)
+        assert (result.feasible, result.escalations) == (True, 0)
+        assert walks == [label_bound(edge_cover)]
         assert len(calls) == block_labels > 0
