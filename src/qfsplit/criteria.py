@@ -69,20 +69,23 @@ class Verdict:
         return "not F-split; not 2-quasi-F-split (height > 2)"
 
 
-def _clause1(f: Poly) -> tuple[Poly, Poly]:
-    """f^{p-2} and f^{p-1} modulo (x_1^p, ..., x_n^p); the second is the
-    clause-1 witness, built from the first by one more product."""
+def _clause1(f: Poly) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
+    """f, f^{p-2} and f^{p-1} modulo (x_1^p, ..., x_n^p) as packed-key
+    term maps (see ``ring``): f is packed once, and the third, the clause-1
+    witness, is built from the second by one more product."""
     if f.is_zero():
         raise ZeroInputError("zero polynomial")
-    p = f.ring.char
-    low = f.pow_trunc(p - 2, p)
-    return low, low.mul_trunc(f, p)
+    ring = f.ring
+    p = ring.char
+    terms = f.packed()
+    low = ring.pow_terms(terms, p - 2, p)
+    return terms, low, ring.mul_terms(low, terms, p)
 
 
 def fedder_test(f: Poly) -> bool:
     """True iff f^{p-1} lies outside (x_1^p, ..., x_n^p), i.e. the
     hypersurface is F-split near the origin."""
-    return bool(_clause1(f)[1])
+    return bool(_clause1(f)[2])
 
 
 def _conformance_flags(f: Poly) -> tuple[str, ...]:
@@ -100,28 +103,32 @@ def quasi2_test(f: Poly) -> Verdict:
     f^{p-2} that clause 1 builds on, is already reduced mod m^[p^2], and
     f^{p-1} mod m^[p^2] is computed only when that Frobenius factor is
     nonzero.
-    delta_carry runs once per clause-2 evaluation even when the power
-    factor is 0, so the benchmark's trace counts one delta per clause-2
-    entry."""
-    p = f.ring.char
+    f is packed once, every power and product stays a packed-key term map
+    (``PolyRing.pow_terms``, ``mul_terms``, ``frobenius_terms``), and only
+    the witnesses are unpacked.  delta_carry runs once per clause-2
+    evaluation even when the power factor is 0, so the benchmark's trace
+    counts one delta per clause-2 entry."""
+    ring = f.ring
+    p = ring.char
     q = p * p
-    low, clause1_poly = _clause1(f)
+    terms, low, clause1 = _clause1(f)
+    clause1_poly = ring.from_packed(clause1)
     flags = _conformance_flags(f)
-    if clause1_poly:
+    if clause1:
         return Verdict(
             f_split=True,
             quasi2=True,
             witnesses={"clause1": clause1_poly},
             flags=flags,
         )
-    power = low.frobenius_power()
+    power = ring.frobenius_terms(low, p)
     if power:
-        power = power.mul_trunc(f.pow_trunc(p - 1, q), q)
-    clause2_poly = power.mul_trunc(delta_carry(f, q), q)
+        power = ring.mul_terms(power, ring.pow_terms(terms, p - 1, q), q)
+    clause2 = ring.mul_terms(power, delta_carry(f, q).packed(), q)
     return Verdict(
         f_split=False,
-        quasi2=not clause2_poly.is_zero(),
-        witnesses={"clause1": clause1_poly, "clause2": clause2_poly},
+        quasi2=bool(clause2),
+        witnesses={"clause1": clause1_poly, "clause2": ring.from_packed(clause2)},
         flags=flags,
     )
 

@@ -6,7 +6,11 @@ form by reducing z-powers through z^2 = -g and dropping any monomial that
 clears one of the denominator variables.  The 2-quasi-F-split decision
 tracks the socle {z/(xy)} through Frobenius: if it survives, the cover is
 F-split; if it dies, the Witt carry of the vanishing is extracted and the
-verdict is whether that carry class escapes the image of Frobenius.
+verdict is whether that carry class escapes the image of Frobenius.  That
+image is tested as the span of the Frobenius images of the labels
+z^eps/(x^i y^j) with i, j <= p(1 + p^2) (``frobenius_image_membership``);
+that bounded span decides membership in the whole image exactly for the
+carry class only.
 """
 
 from __future__ import annotations
@@ -296,7 +300,12 @@ def _frobenius_label_holders(cover: DoubleCover, bound: int):
 
 def frobenius_image_membership(eta: H2Class, cover: DoubleCover) -> MembershipResult:
     """Decide eta in span_{F_p}{ F(z^eps/(x^i y^j)) : i, j <= B } by exact
-    linear algebra, at the label bound B = p(1 + p^2).
+    linear algebra, at the label bound B = p(1 + p^2).  The answer is
+    membership in that bounded span, not in the whole image of Frobenius:
+    the two agree for the Witt carry class, which is the only class
+    ``analyze`` passes, but not in general (on x^3 + y^7 at p = 2, B = 10,
+    F(z^eps/(x^11 y^11)) is nonzero for eps = 0 and 1, and this reads it
+    infeasible).
 
     For the Witt carry class this bound is exact.  Under the label
     dictionary z^w/(x^{T-x} y^{T-y}) <-> key (x, y, w), T = p^2 (1 + p^2),

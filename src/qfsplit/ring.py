@@ -21,15 +21,25 @@ field of the sum has its top bit set exactly when the exponent sum passed
 hash to distinct values (with 64-bit fields, e_1 + e_2 * 2^64 would hash
 to e_1 + 8 e_2, and a dense bivariate grid would share few hash values).
 
+Truncated products and powers run on packed-key term maps {key: coeff}
+end to end (``PolyRing.mul_terms``, ``pow_terms``, ``cut_terms``): a
+caller packs its operands once, keeps every intermediate packed and
+unpacks each result once.  One cut rule serves every bound q, with no
+second path past 2^63: the bias 2^64 - min(q, 2^64) in every field
+(``PolyRing._cut``) carries an exponent, or a sum of two exponents below
+q, into the pad's low bit exactly when it reaches q.  A term or a pair
+that sets that bit is cut; a kept sum whose top bit is set, once the bias
+is taken off, passed 2^63 - 1 and raises ExponentOverflowError.  ``*`` is
+the product at the no-cut bound ``NO_CUT`` = 2^64, whose bias is 0.
+
 The pair loop of every product (``multiply_terms``) and the add loop of
 every sum (``add_terms``) are module functions that ``Poly`` and the Witt
 kernel share; the Witt kernel keeps its coordinates as packed-key term maps
-{key: coeff} through a whole sum or product and unpacks once.
+through a whole sum or product and unpacks once.
 """
 
 from __future__ import annotations
 
-import operator
 import struct
 from itertools import chain
 from typing import Collection, Iterable, Iterator, Mapping
@@ -37,6 +47,7 @@ from typing import Collection, Iterable, Iterator, Mapping
 MAX_EXPONENT = 2**31 - 1  # largest exponent the parser accepts
 _EXPONENT_LIMIT = 2**63 - 1
 _TOP_BIT = 2**63
+NO_CUT = 2**64  # the bound q of ``*``: above every sum of two stored exponents
 _PRIME_LIMIT = 2**16
 
 
@@ -68,26 +79,37 @@ def _is_prime(n: int) -> bool:
 
 
 def multiply_terms(
-    left: Iterable[tuple[int, int]], right: Collection[tuple[int, int]], mask: int, cut=None
+    left: Iterable[tuple[int, int]],
+    right: Collection[tuple[int, int]],
+    mask: int,
+    p: int,
+    bias: int = 0,
 ) -> dict[int, int]:
-    """The raw product of two packed-key term maps, each given as its
-    (key, coeff) pairs: c1*c2 summed at k1 + k2 over every pair, as
-    unreduced integers that may be 0; the caller reduces each output term
-    once, mod p or over Z.  A pair whose key sum has a bit of mask set
-    raises ExponentOverflowError when cut is None, is skipped when cut is
-    True, and is skipped when cut(sum) is true, raising otherwise, when cut
-    is a function."""
+    """The product of two packed-key term maps, each given as its
+    (key, coeff) pairs, with coefficients reduced mod p (p = 0: over Z) and
+    the terms that cancel dropped.  mask is the ring's top-bit mask, and
+    every right key carries bias (``PolyRing._cut``), which the output keys
+    no longer carry.  A pair whose key sum has a bit of mask << 1, the low
+    bit of a field's pad, set has reached the bound and is skipped; if a
+    kept sum, less bias, has a bit of mask set, some exponent passed
+    2^63 - 1, and ExponentOverflowError is raised, also when its term
+    cancels.  bias 0 cuts no pair: that is the product ``*`` takes."""
     out: dict[int, int] = {}
     get = out.get
+    cut = mask << 1
     for k1, c1 in left:
         for k2, c2 in right:
             k = k1 + k2
-            if k & mask:
-                if cut is True or (cut is not None and cut(k)):
-                    continue
-                raise ExponentOverflowError("exponent overflow in product")
-            out[k] = get(k, 0) + c1 * c2
-    return out
+            if not k & cut:
+                out[k] = get(k, 0) + c1 * c2
+    reduced: dict[int, int] = {}
+    for k, c in out.items():
+        k -= bias
+        if k & mask:
+            raise ExponentOverflowError("exponent overflow in product")
+        if r := c % p if p else c:
+            reduced[k] = r
+    return reduced
 
 
 def add_terms(total: dict, other: Mapping, p: int) -> None:
@@ -209,6 +231,48 @@ class PolyRing:
                 raise ExponentOverflowError("exponent overflow in Frobenius power")
         return {k * factor: c for k, c in terms.items()}
 
+    def _cut(self, q: int) -> int:
+        """The bias of the cut to m^[q] = (x_1^q, ..., x_n^q), one rule for
+        every q >= 0: 2^64 - min(q, 2^64) in every field.  A stored exponent
+        e, or a sum e of two exponents each below q, plus that bias is
+        below 2^65, and its field carries into the pad's low bit exactly
+        when e >= q; at q = ``NO_CUT`` the bias is 0 and nothing is cut."""
+        return (NO_CUT - min(q, NO_CUT)) * self._ones
+
+    def cut_terms(self, terms: Mapping[int, int], q: int) -> dict[int, int]:
+        """The terms of a packed-key term map with every exponent below q:
+        its normal form modulo m^[q]."""
+        bias, cut = self._cut(q), self._mask << 1
+        return {k: c for k, c in terms.items() if not (k + bias) & cut}
+
+    def mul_terms(self, a: Mapping[int, int], b: Mapping[int, int], q: int = NO_CUT) -> dict[int, int]:
+        """a * b modulo m^[q] on packed-key term maps, coefficients reduced
+        (mod p, or over Z) and nonzero.  The terms of a and b with some
+        exponent at or above q are cut first, the pairs whose sum reaches q
+        in some variable are skipped in the pair loop, and a kept pair
+        whose sum passes 2^63 - 1 raises ExponentOverflowError, as in
+        ``*``.  Output terms come in the order of their first pair, a's
+        terms outermost."""
+        bias, mask = self._cut(q), self._mask
+        cut = mask << 1
+        left = [(k, c) for k, c in a.items() if not (k + bias) & cut]
+        right = [(kb, c) for k, c in b.items() if not (kb := k + bias) & cut]
+        return multiply_terms(left, right, mask, self.char, bias)
+
+    def pow_terms(self, terms: Mapping[int, int], e: int, q: int = NO_CUT) -> dict[int, int]:
+        """terms^e modulo m^[q] for e >= 0, by binary powering with every
+        product taken by ``mul_terms`` at q; e = 0 gives the constant 1."""
+        if e < 0:
+            raise ValueError("negative exponent")
+        result, base = {0: 1}, terms
+        while e > 0:
+            if e & 1:
+                result = self.mul_terms(result, base, q)
+            if e > 1:
+                base = self.mul_terms(base, base, q)
+            e >>= 1
+        return result
+
     def zero(self) -> "Poly":
         return Poly(self, {}, _internal=True)
 
@@ -326,41 +390,15 @@ class Poly:
             out = scale_terms(self._terms, other, self.ring.char)
             return Poly(self.ring, out, _internal=True)
         self._check_ring(other)
-        return Poly(self.ring, self._accumulate(other, 2**64), _internal=True)
+        return self._accumulate(other, NO_CUT)
 
     __rmul__ = __mul__
 
-    def _accumulate(self, other: "Poly", q: int) -> dict[tuple[int, ...], int]:
-        """The terms of self * other whose exponents are all below q; q =
-        2^64 exceeds every sum of two stored exponents, so nothing is cut.
-        other must have every exponent below q.
-
-        ``multiply_terms`` runs the pairs on packed keys.  Each field of
-        every right key carries the bias 2^63 - min(q, 2^63), so a field of
-        k1 + k2 has its top bit set exactly when its exponent sum reaches
-        min(q, 2^63).  Such a pair is skipped if some sum reaches q and
-        raises ExponentOverflowError otherwise: then a sum passed
-        2^63 - 1.  The raw sums are reduced mod p once per output term, and
-        the terms that cancel are dropped then."""
+    def _accumulate(self, other: "Poly", q: int) -> "Poly":
+        """self * other modulo m^[q] (``PolyRing.mul_terms``): both operands
+        packed once, the product unpacked once."""
         ring = self.ring
-        pack, unpack, size = ring._fields.pack, ring._fields.unpack, ring._fields.size
-        if q >= 2 * _TOP_BIT:
-            bias, cut = 0, None
-        elif q < _TOP_BIT:
-            # every exponent is below q < 2^63, so no sum passes 2^63 - 1:
-            # every pair with a top bit set is cut
-            bias, cut = (_TOP_BIT - q) * ring._ones, True
-        else:
-            bias, cut = 0, lambda k: max(unpack(k.to_bytes(size, "little"))) >= q
-        left = [(int.from_bytes(pack(*e), "little"), c) for e, c in self._terms.items()]
-        right = [(int.from_bytes(pack(*e), "little") + bias, c) for e, c in other._terms.items()]
-        out = multiply_terms(left, right, ring._mask, cut)
-        p = ring.char
-        return {
-            unpack((k - bias).to_bytes(size, "little")): r
-            for k, c in out.items()
-            if (r := c % p if p else c)
-        }
+        return ring.from_packed(ring.mul_terms(self.packed(), other.packed(), q))
 
     def truncate(self, q: int) -> "Poly":
         """The terms with every exponent below q: the normal form of self
@@ -373,8 +411,7 @@ class Poly:
         exponent sum reaches q in some variable.  A kept pair whose sum
         passes 2^63 - 1 raises ExponentOverflowError, as in ``*``."""
         self._check_ring(other)
-        terms = self.truncate(q)._accumulate(other.truncate(q), q)
-        return Poly(self.ring, terms, _internal=True)
+        return self._accumulate(other, q)
 
     def frobenius_power(self, k: int = 1) -> "Poly":
         """The p^k-th power, by multiplying every exponent by p^k: over F_p
@@ -391,44 +428,33 @@ class Poly:
         out = {tuple(map(factor.__mul__, exps)): c for exps, c in self._terms.items()}
         return Poly(self.ring, out, _internal=True)
 
-    def _pow_binary(self, e: int, mul=operator.mul) -> "Poly":
-        result = self.ring.one()
-        base = self
-        while e > 0:
-            if e & 1:
-                result = mul(result, base)
-            base = mul(base, base) if e > 1 else base
-            e >>= 1
-        return result
-
     def __pow__(self, e: int) -> "Poly":
         """f^e; over F_p, f^e = prod_k (f^{d_k})^{p^k} over the base-p digits
         d_k of e, each outer power a Frobenius power: exact and far cheaper
-        than binary powering for Frobenius-sized exponents."""
+        than binary powering for Frobenius-sized exponents.  f is packed
+        once and the power unpacked once."""
         if e < 0:
             raise ValueError("negative exponent")
-        if e == 0:
-            return self.ring.one()
-        if e == 1:
-            return self
-        p = self.ring.char
+        ring = self.ring
+        p = ring.char
+        terms = self.packed()
         if not p or e < p:
-            return self._pow_binary(e)
-        result = self.ring.one()
-        k = 0
+            return ring.from_packed(ring.pow_terms(terms, e))
+        result: dict[int, int] = {0: 1}
+        factor = 1
         while e:
             e, d = divmod(e, p)
             if d:
-                result = result * self._pow_binary(d).frobenius_power(k)
-            k += 1
-        return result
+                power = ring.frobenius_terms(ring.pow_terms(terms, d), factor)
+                result = ring.mul_terms(result, power)
+            factor *= p
+        return ring.from_packed(result)
 
     def pow_trunc(self, e: int, q: int) -> "Poly":
-        """(self ** e).truncate(q) for q >= 1, by binary powering with every
-        product taken by mul_trunc(., q)."""
-        if e < 0:
-            raise ValueError("negative exponent")
-        return self._pow_binary(e, lambda a, b: a.mul_trunc(b, q))
+        """(self ** e).truncate(q) for q >= 1, by binary powering on packed
+        keys with every product cut to m^[q] (``PolyRing.pow_terms``)."""
+        ring = self.ring
+        return ring.from_packed(ring.pow_terms(self.packed(), e, q))
 
     def derivative(self, name: str) -> "Poly":
         i = self.ring.var_index(name)

@@ -48,7 +48,15 @@ from __future__ import annotations
 import functools
 from typing import Sequence
 
-from .ring import Poly, PolyRing, RingMismatchError, add_terms, multiply_terms, scale_terms
+from .ring import (
+    NO_CUT,
+    Poly,
+    PolyRing,
+    RingMismatchError,
+    add_terms,
+    multiply_terms,
+    scale_terms,
+)
 
 LENGTH_CAP = 8
 
@@ -244,9 +252,7 @@ def _merged(a: Terms, b: Terms, p: int) -> Terms:
 
 
 def _times(ring: PolyRing, a: Terms, b: Terms) -> Terms:
-    p = ring.char
-    out = multiply_terms(a.items(), b.items(), ring._mask)
-    return {k: r for k, c in out.items() if (r := c % p)}
+    return multiply_terms(a.items(), b.items(), ring._mask, ring.char)
 
 
 def _frobenius(ring: PolyRing, a: Terms, k: int = 1) -> Terms:
@@ -412,26 +418,37 @@ def delta_carry(f: Poly, q: int | None = None) -> Poly:
 
     With a bound q the result is delta(f) modulo m^[q] = (x_1^q, ..., x_n^q),
     i.e. delta(f).truncate(q): the lift's p-th power is taken in the
-    quotient by m^[q] over Z (``pow_trunc``), and only the term powers
-    (a_I x^I)^p with every exponent of pI below q are subtracted.  Both
-    steps commute with truncation, and so does the exact division by p,
-    because m^[q] is a monomial ideal.  Without q the result is the full
+    quotient by m^[q] over Z (``PolyRing.pow_terms`` of the lift ring), and
+    only the term powers (a_I x^I)^p with every exponent of pI below q are
+    subtracted.  Both steps commute with truncation, and so does the exact
+    division by p, because m^[q] is a monomial ideal.  Without q the bound
+    is ``ring.NO_CUT``, which cuts nothing, so the result is the full
     delta(f).
+
+    The lift runs on packed keys (see ``ring``): a key is the same in F_p
+    and in Z, so f is packed once, the p-th power, the subtraction and the
+    division by p work on one term map, and the result is unpacked once.
     """
     ring = f.ring
     p = ring.char
     if not p:
         raise ValueError("delta_carry needs prime characteristic")
-    lifted = f.lift_integers()
-    lift_ring = lifted.ring
-    power = lifted**p if q is None else lifted.pow_trunc(p, q)
-    term_powers = {
-        tuple(e * p for e in exps): c**p
-        for exps, c in lifted.term_map().items()
-        if q is None or max(exps, default=0) * p < q
-    }
-    carry = (power - lift_ring.from_terms(term_powers)).divide_exact(p)
-    return carry.reduce_mod(ring)
+    q = NO_CUT if q is None else q
+    terms = f.packed()
+    power = ring.lift_ring().pow_terms(terms, p, q)
+    # the terms whose p-th power survives: every exponent below ceil(q / p);
+    # each such power is a key of the lift's power, whose coefficients are
+    # all positive
+    for k, c in ring.cut_terms(terms, -(-q // p)).items():
+        power[k * p] -= c**p
+    out = {}
+    for k, c in power.items():
+        quotient, remainder = divmod(c, p)
+        if remainder:
+            raise ArithmeticError(f"coefficient {c} not divisible by {p}")
+        if r := quotient % p:
+            out[k] = r
+    return ring.from_packed(out)
 
 
 def eval_at_teichmuller(f: Poly, n: int) -> WittVector:

@@ -13,7 +13,7 @@ from qfsplit.criteria import (
     quasi2_test,
     supersingular_oracle,
 )
-from qfsplit.ring import PolyRing
+from qfsplit.ring import Poly, PolyRing
 from qfsplit.witt import delta_carry
 
 from conftest import random_nonzero_poly
@@ -246,6 +246,48 @@ class TestTruncatedClauses:
     def test_clause2_cases_match_full_products(self, p, text):
         f = PolyRing(p, ("x", "y", "z")).parse(text)
         assert quasi2_test(f).witnesses == self.reference(f)
+
+
+class TestPackOnce:
+    """quasi2_test packs f once and unpacks only what it hands out, so its
+    count of Poly.packed and PolyRing.from_packed calls is fixed by the
+    clause it stops at, not by the number of binary-powering steps behind
+    f^{p-2}, f^{p-1} and delta, which grows with p."""
+
+    @staticmethod
+    def conversions(monkeypatch, f):
+        """(packs, unpacks) made by quasi2_test(f)."""
+        counts = {"pack": 0, "unpack": 0}
+        packed, from_packed = Poly.packed, PolyRing.from_packed
+
+        def counted_packed(self):
+            counts["pack"] += 1
+            return packed(self)
+
+        def counted_from_packed(self, terms):
+            counts["unpack"] += 1
+            return from_packed(self, terms)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Poly, "packed", counted_packed)
+            patch.setattr(PolyRing, "from_packed", counted_from_packed)
+            quasi2_test(f)
+        return counts["pack"], counts["unpack"]
+
+    @pytest.mark.parametrize(
+        "primes, expected",
+        [
+            # clause 2 (supersingular): f packed for the clauses, again for
+            # delta's Z lift, and delta's result for the last product;
+            # delta and both witnesses unpacked
+            ((5, 11, 17), (3, 3)),
+            # clause 1 (ordinary): f packed, the clause-1 witness unpacked
+            ((7, 13), (1, 1)),
+        ],
+    )
+    def test_fermat_cubic_conversions_do_not_grow_with_p(self, monkeypatch, primes, expected):
+        for p in primes:
+            assert self.conversions(monkeypatch, fermat_cubic(p)) == expected, p
 
 
 def diagonal(p, degree):

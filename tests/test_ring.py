@@ -154,8 +154,8 @@ class TestPow:
     def test_binary_vs_base_p_agree(self, rng, r5xy):
         for _ in range(5):
             f = random_poly(rng, r5xy, max_terms=2, max_exp=2)
-            assert f**7 == f._pow_binary(7)
-            assert f**19 == f._pow_binary(19)
+            assert f**7 == f.pow_trunc(7, 2**64)
+            assert f**19 == f.pow_trunc(19, 2**64)
 
 
 class TestFrobeniusPowerIdeal:
@@ -212,6 +212,9 @@ class TestRingContext:
         with pytest.raises(ExponentOverflowError):
             f.mul_trunc(f, 2**64)
         assert f.mul_trunc(f, 2**63).is_zero()
+        with pytest.raises(ExponentOverflowError):
+            f.pow_trunc(2, 2**64)
+        assert f.pow_trunc(2, 2**63).is_zero()
 
     def test_frobenius_power_zero_is_identity_and_needs_prime_char(self, r5xy):
         f = r5xy.parse("x^2 + 3*x*y + 1")

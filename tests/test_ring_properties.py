@@ -1,8 +1,9 @@
-"""Property tests for products: the pair loop behind ``*`` and
-``mul_trunc`` against a term-by-term reference over F_p and over Z, in 0 to
-4 variables and at the 2^63 - 1 exponent limit, and arithmetic in the
+"""Property tests for products: the pair loop behind ``*``, ``mul_trunc``
+and ``pow_trunc`` against a term-by-term reference over F_p and over Z, in
+0 to 4 variables and at the 2^63 - 1 exponent limit, and arithmetic in the
 quotient by (x_1^q, ..., x_n^q), where truncated products and powers must
-equal the truncated full results.  Also the packed keys themselves: their
+equal the truncated full results at every bound, the named ones 1,
+2^63 - 1, 2^63 and 2^64 included.  Also the packed keys themselves: their
 Frobenius scaling at the limit, and their hashes."""
 
 import itertools
@@ -19,6 +20,7 @@ from qfsplit.ring import ExponentOverflowError, PolyRing  # noqa: E402
 PRIMES = [2, 3, 5, 7]
 VARIABLES = ("x", "y", "z", "w")
 LIMIT = 2**63 - 1
+NAMED_BOUNDS = (1, LIMIT, 2**63, 2**64)
 
 
 @st.composite
@@ -180,6 +182,51 @@ def test_pow_trunc_is_truncated_power(case, data):
     p = ring.char
     e = data.draw(st.integers(0, p * p - p - 1))
     assert a.pow_trunc(e, q) == (a**e).truncate(q)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.one_of(
+        operands(1, lambda p: 2 * p).map(lambda case: case[1][0]),
+        integer_operands().map(lambda pair: pair[0]),
+    ),
+    st.integers(0, 5),
+)
+def test_pow_trunc_at_the_named_bounds(a, e):
+    # q = 1 keeps only the constant term, and from 2^63 - 1 on nothing of
+    # a small power is cut, over F_p and over Z with negative coefficients
+    for q in NAMED_BOUNDS:
+        assert a.pow_trunc(e, q) == (a**e).truncate(q)
+
+
+def binary_power_reference(a, e, q):
+    """a^e modulo m^[q] through the products binary powering takes, each
+    one a term_pair_product at q, so it raises ExponentOverflowError
+    exactly where one of those products keeps a pair past 2^63 - 1."""
+    result, base = a.ring.one(), a
+    while e > 0:
+        if e & 1:
+            result = term_pair_product(result, base, q)
+        if e > 1:
+            base = term_pair_product(base, base, q)
+        e >>= 1
+    return result
+
+
+@settings(deadline=None, max_examples=200)
+@given(limit_operands(), st.integers(2, 3))
+def test_pow_trunc_at_the_exponent_limit(case, e):
+    # a kept pair past 2^63 - 1 raises, as in *; the pairs that reach q are
+    # skipped, whether q is below 2^63 or not
+    a, _ = case
+    for q in NAMED_BOUNDS + (2, 2**62, 2**62 + 1, 2**63 + 1):
+        try:
+            expected = binary_power_reference(a, e, q)
+        except ExponentOverflowError:
+            with pytest.raises(ExponentOverflowError):
+                a.pow_trunc(e, q)
+        else:
+            assert a.pow_trunc(e, q) == expected
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -1,9 +1,10 @@
 """Property tests for Witt arithmetic over F_p: every sum, difference,
 product and negative equals the ghost route's answer, the carry
 polynomial delta computed modulo m^[q] equals the full one truncated, and
-the packed kernel (sums, products and the Horner carry on packed-key term
-maps) equals the Poly-based kernel it replaced, kept here as the
-reference, down to where ExponentOverflowError is raised."""
+two packed routes equal the Poly-based code they replaced, kept here as
+the reference, down to where ExponentOverflowError is raised: delta's Z
+lift, and the kernel of sums, products and the Horner carry on packed-key
+term maps."""
 
 import operator
 
@@ -99,6 +100,48 @@ def bounded_deltas(draw):
 def test_bounded_delta_is_the_truncated_delta(case):
     f, q = case
     assert delta_carry(f, q) == delta_carry(f).truncate(q)
+
+
+def lifted_delta(f: Poly) -> Poly:
+    """delta(f) by the Poly route over Z that the packed lift replaced:
+    lift the coefficients, subtract the term powers from the p-th power,
+    divide by p exactly and reduce mod p."""
+    p = f.ring.char
+    lifted = f.lift_integers()
+    term_powers = lifted.ring.from_terms(
+        {tuple(e * p for e in exps): c**p for exps, c in lifted.term_map().items()}
+    )
+    return (lifted**p - term_powers).divide_exact(p).reduce_mod(f.ring)
+
+
+@settings(deadline=None, max_examples=150)
+@given(bounded_deltas())
+def test_packed_delta_is_the_lifted_delta(case):
+    f, _ = case
+    assert delta_carry(f) == lifted_delta(f)
+
+
+@pytest.mark.parametrize(
+    "p, top, raises",
+    [
+        (2, 2**62, True),  # x^(2^63) in the square
+        (3, (2**63 - 1) // 3, False),  # the cube of x^top is x^(2^63 - 2)
+        (3, (2**63 - 1) // 3 + 1, True),
+    ],
+)
+def test_delta_at_the_exponent_limit(p, top, raises):
+    # delta of x^top + y: the packed route raises exactly where the lifted
+    # route does, and the bound p^2 cuts x^top before its power is taken
+    ring = PolyRing(p, ("x", "y"))
+    f = ring.from_terms({(top, 0): 1, (0, 1): 1})
+    if raises:
+        with pytest.raises(ExponentOverflowError):
+            lifted_delta(f)
+        with pytest.raises(ExponentOverflowError):
+            delta_carry(f)
+    else:
+        assert delta_carry(f) == lifted_delta(f)
+    assert delta_carry(f, p * p).is_zero()
 
 
 # -- the Poly-based kernel the packed one replaced -------------------------
