@@ -44,7 +44,10 @@ class Verdict:
     polynomials f^{p-1} and f^{p^2-p-1} * delta(f), computed exactly in
     the quotient by m^[p] resp. m^[p^2] = (x_1^{p^2}, ..., x_n^{p^2}): the
     terms of each clause polynomial outside that ideal.  A clause holds iff
-    its witness is nonzero.
+    its witness is nonzero.  For f flagged criterion-certified (homogeneous
+    of degree n in n variables) the clause-2 witness has at most the one
+    term (x_1...x_n)^{p^2-1}, the only monomial of its degree n(p^2-1)
+    outside m^[p^2].
     """
 
     f_split: bool
@@ -105,9 +108,16 @@ def quasi2_test(f: Poly) -> Verdict:
     nonzero.
     f is packed once, every power and product stays a packed-key term map
     (``PolyRing.pow_terms``, ``mul_terms``, ``frobenius_terms``), and only
-    the witnesses are unpacked.  delta_carry runs once per clause-2
-    evaluation even when the power factor is 0, so the benchmark's trace
-    counts one delta per clause-2 entry."""
+    the witnesses are unpacked.  delta_carry runs only when the power
+    factor f^{p^2-p-1} mod m^[p^2] is nonzero; when it is 0, so is the
+    clause-2 witness, whatever delta(f) is.
+    For certified f (homogeneous of degree n in n variables) the clause-2
+    polynomial is homogeneous of degree n(p^2-1), and a term outside
+    m^[p^2] has every exponent at most p^2-1, so only (x_1...x_n)^{p^2-1}
+    can survive.  Its coefficient is the dot product of the power factor
+    with delta(f): one lookup of delta at (x_1...x_n)^{p^2-1} / x^a per
+    term x^a of the power factor, not the full product.  Other f keep the
+    full truncated product, whose witness can have many terms."""
     ring = f.ring
     p = ring.char
     q = p * p
@@ -124,7 +134,18 @@ def quasi2_test(f: Poly) -> Verdict:
     power = ring.frobenius_terms(low, p)
     if power:
         power = ring.mul_terms(power, ring.pow_terms(terms, p - 1, q), q)
-    clause2 = ring.mul_terms(power, delta_carry(f, q).packed(), q)
+    clause2 = {}
+    if power:
+        delta = delta_carry(f, q).packed()
+        if flags == (FLAG_CERTIFIED,):
+            # the key of (x_1...x_n)^{q-1}; every field of a power key is
+            # below q, so top - k borrows across no field
+            top = (q - 1) * ring._ones
+            c = sum(coeff * delta.get(top - k, 0) for k, coeff in power.items()) % p
+            if c:
+                clause2 = {top: c}
+        else:
+            clause2 = ring.mul_terms(power, delta, q)
     return Verdict(
         f_split=False,
         quasi2=bool(clause2),
