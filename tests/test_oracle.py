@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 from collections import Counter
 
@@ -21,10 +22,14 @@ from qfsplit.splitting_oracle import (  # noqa: E402
     _k2_rows_holding,
     _module_moves,
     _monomials_of_weight_at_most,
+    _pack,
+    _preimages,
     _shift,
     _splitting_system,
     _times_generator,
+    _unpack,
     _weighted_degree,
+    _width,
     _z_power_normal_form,
     quasi2_cech_oracle,
     quasi_homogeneous_weights,
@@ -113,6 +118,9 @@ class TestPrimalSplittingSearch:
             ("E6", 3, "x^3 + y^4"),
             ("A2", 3, "x^2 + y^3"),
             ("D4", 3, "x^2*y + y^3"),
+            # g's exponent 32 (64) is past the window bound 4p^2
+            ("A31", 2, "x^2 + y^32"),
+            ("A63", 3, "x^2 + y^64"),
         ],
     )
     def test_agrees_with_engine(self, name, p, text):
@@ -137,6 +145,15 @@ SEARCH_CASES = [
     ("E7", 2, "x^3 + x*y^3"),
     ("E6", 3, "x^3 + y^4"),
 ]
+
+
+def times_generator(cover, r, index):
+    """``_times_generator`` on the tuple monomial r, read back as a term map
+    on tuple keys."""
+    width = _width(cover)
+    neg_g = {_pack(m, width): c for m, c in cover.neg_g.term_map().items()}
+    image = _times_generator(_pack(r, width), index, neg_g, width)
+    return {_unpack(key, width): c for key, c in image.items()}
 
 
 def full_window_system(cover):
@@ -187,7 +204,6 @@ def full_window_system(cover):
         elif row_key in column:
             del column[row_key]
 
-    neg_g = cover.neg_g.term_map()
     cid = 0
     for slot, basis in (("0", slot0), ("1", slot1)):
         for b in basis:
@@ -199,7 +215,7 @@ def full_window_system(cover):
                     for r in r_basis(q_degree(mslot, mb) // (p * p)):
                         add_term((cid, r), ((mslot, mb), r), coeff)
                 for r in r_basis(source_degree):
-                    for exps, c in _times_generator(r, index, neg_g).items():
+                    for exps, c in times_generator(cover, r, index).items():
                         add_term((cid, exps), ((slot, b), r), -c)
                 cid += 1
     add_term(("phi", (0, 0, 0)), (("0", (0, 0, 0)), (0, 0, 0)), 1)
@@ -254,12 +270,38 @@ def test_search_system_is_in_degree_order(name, p, text):
         (degree,) = degrees_of[rows[number]]
         row_degrees.append(degree)
     assert row_degrees == sorted(row_degrees)
+    # after phi's row, fewest entries first within each degree
+    counts = [(row_degrees[number], len(rows[number])) for number in sorted(rows)[1:]]
+    assert counts == sorted(counts)
     unit = (("0", (0, 0, 0)), (0, 0, 0))
     assert rows[0] == {(unit, 1)}  # phi's row: alpha(1) = 1
     column_degrees = [_weighted_degree(r, weights) for _source, r in walked]
     assert column_degrees == sorted(column_degrees)
     for degree, column in zip(column_degrees, walked.values()):
         assert all(row_degrees[number] >= degree for number in column)
+
+
+def test_search_system_does_not_depend_on_the_hash_seed():
+    # the columns, their order and their row numbers are the same under two
+    # hash seeds, so the elimination meets the same pivots
+    script = (
+        "from qfsplit.localcoh import DoubleCover\n"
+        "from qfsplit.ring import PolyRing\n"
+        "from qfsplit.splitting_oracle import _splitting_system\n"
+        "for p, g in ((3, 'x^3 + y^4'), (2, 'x*y')):\n"
+        "    cover = DoubleCover(p, PolyRing(p, ('x', 'y')).parse(g))\n"
+        "    print(repr(list(_splitting_system(cover).items())))\n"
+    )
+    package = os.path.dirname(os.path.abspath(splitting_oracle.__file__))
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.path.dirname(package))
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0].count("\n") == 2
+    # a set, not ==: pytest's diff of two unequal outputs this long runs
+    # for minutes
+    assert len(set(outputs)) == 1
 
 
 @pytest.mark.parametrize("name,p,text", SEARCH_CASES + [("E8", 3, "x^3 + y^5")])
@@ -282,7 +324,14 @@ def test_oracle_on_e12_cover_is_negative(p):
 
 # The oracles build their rows and equation terms by re-keying term maps;
 # the tests below keep the Poly-product form as the reference.
-TABLE_CASES = [("A1", 2, "x*y"), ("E6", 3, "x^3 + y^4"), ("E8", 5, "x^3 + y^5")]
+TABLE_CASES = [
+    ("A1", 2, "x*y"),
+    ("E6", 3, "x^3 + y^4"),
+    ("E8", 5, "x^3 + y^5"),
+    # an exponent of g past the window bound 4p^2
+    ("A31", 2, "x^2 + y^32"),
+    ("A63", 3, "x^2 + y^64"),
+]
 
 
 @pytest.mark.parametrize("name,p,text", TABLE_CASES)
@@ -303,13 +352,45 @@ def test_k2_rows_are_rekeyed_poly_products(name, p, text):
 def test_generator_table_matches_poly_products(name, p, text):
     cover = make_cover(p, text)
     ring = cover.ring_xyz
-    neg_g = cover.neg_g.term_map()
     window = _monomials_of_weight_at_most(quasi_homogeneous_weights(cover), 4 * p * p)
     assert any(eps for _u, _v, eps in window)
     for index, t in enumerate(("x", "y", "z")):
         for r in window:
             product = reduce_modulo_cover(ring.gen(t) * ring.from_terms({r: 1}), cover)
-            assert _times_generator(r, index, neg_g) == product.term_map()
+            assert times_generator(cover, r, index) == product.term_map()
+
+
+@pytest.mark.parametrize("name,p,text", TABLE_CASES)
+def test_preimages_invert_the_generator_table(name, p, text):
+    # _preimages(out) lists exactly the r with out in nf(t * r), each with
+    # the coefficient of out there
+    cover = make_cover(p, text)
+    width = _width(cover)
+    neg_g = {_pack(m, width): c for m, c in cover.neg_g.term_map().items()}
+    window = [_pack(m, width) for m in _monomials_of_weight_at_most(quasi_homogeneous_weights(cover), 4 * p * p)]
+    for index in range(3):
+        holders = {}
+        for r in window:
+            for out, c in _times_generator(r, index, neg_g, width).items():
+                holders.setdefault(out, {})[r] = c
+        for out in window:
+            assert dict(_preimages(out, index, neg_g, width)) == holders.get(out, {})
+
+
+@pytest.mark.parametrize("name,p,text", TABLE_CASES)
+def test_packed_monomials_round_trip(name, p, text):
+    # weights (1, 1, 1) reach the window's largest exponent, 4p^2; an
+    # exponent of nf(t * r) for r in the window reaches 4p^2 plus the largest
+    # exponent of g, and those round-trip too and stay below 2^s
+    cover = make_cover(p, text)
+    width = _width(cover)
+    top = 4 * p * p
+    past = top + max(max(a, b) for a, b, _w in cover.neg_g.term_map())
+    largest = [m for m in _monomials_of_weight_at_most((1, 1, 1), top) if sum(m) == top]
+    for m in largest + [(past, 0, 0), (0, past, 1), (past, past, 1)]:
+        key = _pack(m, width)
+        assert _unpack(key, width) == m
+        assert key < 1 << 2 * width + 1
 
 
 def poly_product_coords(cover, k2, a0, a1):

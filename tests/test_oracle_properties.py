@@ -42,7 +42,8 @@ SHAPES = {
 
 # The search's declared domain: p = 2, and at p = 3 the shapes below.  Its
 # window grows like p^4, and only these shapes stay under about 0.15 s at
-# p = 3 (D4 takes over 3 s, x^4 + y^4 far longer).  At p = 2, E12 has
+# p = 3 (D4 takes about 0.7 s, x^4 + y^4 about 2 s, x^4 + x^2 y^2 + y^4
+# about 4.5 s, on a shared 2-vCPU VM).  At p = 2, E12 has
 # w_z = 21 above the window 4p^2 = 16, and the search refuses it.
 SEARCHED_AT_3 = ("E6", "E7", "E8", "E12", "x4+y5")
 
