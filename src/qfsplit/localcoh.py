@@ -10,7 +10,10 @@ verdict is whether that carry class escapes the image of Frobenius.  That
 image is tested as the span of the Frobenius images of the labels
 z^eps/(x^i y^j) with i, j <= p(1 + p^2) (``frobenius_image_membership``);
 that bounded span decides membership in the whole image exactly for the
-carry class only.
+carry class only.  The carry class rests on delta(h) modulo
+(x^{p^2}, y^{p^2}) for h = (-g)^{(p-1)/2} (g at p = 2), which
+``witt.delta_of_power`` takes from -g, so h is never lifted to Z
+(``witt_carry_class``).
 """
 
 from __future__ import annotations
@@ -247,6 +250,10 @@ def witt_carry_class(cover: DoubleCover) -> H2Class:
     terms c x^u y^v of h^eps * delta(h) with u, v < p^2, as
     c z^eps/(x^{p^2-u} y^{p^2-v}); (x^{p^2}, y^{p^2}) is an ideal, so the
     product and delta(h) are both computed modulo it.
+
+    h is a power of -g, so delta(h) is delta((-g)^k), k = max(1, (p-1)/2),
+    taken from -g by ``witt.delta_of_power``: h itself is never lifted to
+    Z.  At p = 2, -g = g = h and k = 1.
     """
     p = cover.p
     q = p * p
@@ -254,9 +261,9 @@ def witt_carry_class(cover: DoubleCover) -> H2Class:
         raise SocleSurvivesError("F(socle) != 0; the cover is F-split at the socle")
     numerator = cover.frobenius_numerator().term_map()
     (eps,) = {w for _, _, w in numerator}
-    h = cover.ring_xy.from_terms({(u, v): c for (u, v, _), c in numerator.items()})
-    carry = witt.delta_carry(h, q)
+    carry = witt.delta_of_power(-cover.g, max(1, (p - 1) // 2), q)
     if eps:
+        h = cover.ring_xy.from_terms({(u, v): c for (u, v, _), c in numerator.items()})
         carry = h.mul_trunc(carry, q)
     return H2Class(p, {(eps, q - u, q - v): c for (u, v), c in carry.term_map().items()})
 

@@ -24,13 +24,16 @@ to e_1 + 8 e_2, and a dense bivariate grid would share few hash values).
 Truncated products and powers run on packed-key term maps {key: coeff}
 end to end (``PolyRing.mul_terms``, ``pow_terms``, ``cut_terms``): a
 caller packs its operands once, keeps every intermediate packed and
-unpacks each result once.  One cut rule serves every bound q, with no
-second path past 2^63: the bias 2^64 - min(q, 2^64) in every field
-(``PolyRing._cut``) carries an exponent, or a sum of two exponents below
-q, into the pad's low bit exactly when it reaches q.  A term or a pair
-that sets that bit is cut; a kept sum whose top bit is set, once the bias
-is taken off, passed 2^63 - 1 and raises ExponentOverflowError.  ``*`` is
-the product at the no-cut bound ``NO_CUT`` = 2^64, whose bias is 0.
+unpacks each result once.  A key is the same in every ring of the same
+variables, so these also take integer lifts, with coefficients reduced
+mod a given modulus (0: over Z) instead of mod p.  One cut rule serves
+every bound q, with no second path past 2^63: the bias 2^64 - min(q, 2^64)
+in every field (``PolyRing._cut``) carries an exponent, or a sum of two
+exponents below q, into the pad's low bit exactly when it reaches q.  A
+term or a pair that sets that bit is cut; a kept sum whose top bit is set,
+once the bias is taken off, passed 2^63 - 1 and raises
+ExponentOverflowError.  ``*`` is the product at the no-cut bound
+``NO_CUT`` = 2^64, whose bias is 0.
 
 The pair loop of every product (``multiply_terms``) and the add loop of
 every sum (``add_terms``) are module functions that ``Poly`` and the Witt
@@ -245,33 +248,43 @@ class PolyRing:
         bias, cut = self._cut(q), self._mask << 1
         return {k: c for k, c in terms.items() if not (k + bias) & cut}
 
-    def mul_terms(self, a: Mapping[int, int], b: Mapping[int, int], q: int = NO_CUT) -> dict[int, int]:
+    def mul_terms(
+        self,
+        a: Mapping[int, int],
+        b: Mapping[int, int],
+        q: int = NO_CUT,
+        modulus: int | None = None,
+    ) -> dict[int, int]:
         """a * b modulo m^[q] on packed-key term maps, coefficients reduced
-        (mod p, or over Z) and nonzero.  The terms of a and b with some
-        exponent at or above q are cut first, the pairs whose sum reaches q
-        in some variable are skipped in the pair loop, and a kept pair
-        whose sum passes 2^63 - 1 raises ExponentOverflowError, as in
-        ``*``.  Output terms come in the order of their first pair, a's
-        terms outermost."""
+        (mod p, or over Z, or mod modulus when one is given) and nonzero.
+        The terms of a and b with some exponent at or above q are cut first,
+        the pairs whose sum reaches q in some variable are skipped in the
+        pair loop, and a kept pair whose sum passes 2^63 - 1 raises
+        ExponentOverflowError, as in ``*``.  Output terms come in the order
+        of their first pair, a's terms outermost."""
         bias, mask = self._cut(q), self._mask
         cut = mask << 1
         left = [(k, c) for k, c in a.items() if not (k + bias) & cut]
         right = [(kb, c) for k, c in b.items() if not (kb := k + bias) & cut]
-        return multiply_terms(left, right, mask, self.char, bias)
+        return multiply_terms(left, right, mask, self.char if modulus is None else modulus, bias)
 
-    def pow_terms(self, terms: Mapping[int, int], e: int, q: int = NO_CUT) -> dict[int, int]:
+    def pow_terms(
+        self, terms: Mapping[int, int], e: int, q: int = NO_CUT, modulus: int | None = None
+    ) -> dict[int, int]:
         """terms^e modulo m^[q] for e >= 0, by binary powering with every
-        product taken by ``mul_terms`` at q; e = 0 gives the constant 1."""
+        product taken by ``mul_terms`` at q and modulus; e = 0 gives the
+        constant 1.  The first power of two that e holds starts the result,
+        so no product by 1 is taken."""
         if e < 0:
             raise ValueError("negative exponent")
-        result, base = {0: 1}, terms
+        result, base = None, self.cut_terms(terms, q)
         while e > 0:
             if e & 1:
-                result = self.mul_terms(result, base, q)
+                result = base if result is None else self.mul_terms(result, base, q, modulus)
             if e > 1:
-                base = self.mul_terms(base, base, q)
+                base = self.mul_terms(base, base, q, modulus)
             e >>= 1
-        return result
+        return {0: 1} if result is None else result
 
     def zero(self) -> "Poly":
         return Poly(self, {}, _internal=True)

@@ -56,11 +56,13 @@ def _z_power_normal_form(cover: DoubleCover, exponent: int | None = None) -> dic
     return reduce_modulo_cover(cover.ring_xyz.gen("z") ** e, cover).term_map()
 
 
-def _delta_normal_form(cover: DoubleCover, terms: dict) -> dict:
-    """nf(delta(f)) for the polynomial f with the given term map.  For a
+def _delta_normal_form(cover: DoubleCover, terms: dict, q: int | None = None) -> dict:
+    """nf(delta(f)) for the polynomial f with the given term map, with delta
+    taken modulo m^[q] (``delta_carry``'s bound; None cuts nothing).  For a
     monomial m with coefficient 1, delta(m f) = m^p delta(f), so the carry
     of any shift of f is the matching shift of this one."""
-    return reduce_modulo_cover(delta_carry(cover.ring_xyz.from_terms(terms)), cover).term_map()
+    delta = delta_carry(cover.ring_xyz.from_terms(terms), q)
+    return reduce_modulo_cover(delta, cover).term_map()
 
 
 def _shift(terms: dict, du: int, dv: int) -> dict:
@@ -125,7 +127,12 @@ def quasi2_cech_oracle(cover: DoubleCover) -> bool:
     pv >= T lies in I: only the rows with u, v < T/p = p (1 + p^2) remain.
     Only the block of pi(twist) among them is built (``linalg.block``, which
     decides the span test); a key outside I is held only by rows with
-    u <= x/p < T/p, so ``_k2_rows_holding`` needs no bound.
+    u <= x/p < T/p, so ``_k2_rows_holding`` needs no bound.  The twist
+    itself needs delta only modulo m^[p^2]: pi keeps the exponents below
+    T = p^4 + p^2 after the shift by p^4, that is below p^2 before it, and
+    z^2 = -g only raises exponents, so a term of delta with an x- or
+    y-exponent of p^2 or more reduces to terms that pi drops (delta's
+    z-exponents are at most p < p^2).
 
     The shallower level s = p^2 - p is subsumed.  Its system has the ideal
     (x^{T'}, y^{T'}), T' = p^2 (1 + p^2 - p), and the twist shift p^4 - p^3.
@@ -150,7 +157,7 @@ def quasi2_cech_oracle(cover: DoubleCover) -> bool:
     def pi(terms: dict) -> dict:
         return {key: c for key, c in terms.items() if key[0] < bound and key[1] < bound}
 
-    twist = pi(_shift(_delta_normal_form(cover, zp), p**4, p**4))
+    twist = pi(_shift(_delta_normal_form(cover, zp, p * p), p**4, p**4))
     rows, _keys = block(
         twist,
         lambda key: _k2_rows_holding(p, zp, key),

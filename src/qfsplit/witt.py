@@ -418,7 +418,7 @@ def delta_carry(f: Poly, q: int | None = None) -> Poly:
 
     With a bound q the result is delta(f) modulo m^[q] = (x_1^q, ..., x_n^q),
     i.e. delta(f).truncate(q): the lift's p-th power is taken in the
-    quotient by m^[q] over Z (``PolyRing.pow_terms`` of the lift ring), and
+    quotient by m^[q] over Z (``PolyRing.pow_terms`` at modulus 0), and
     only the term powers (a_I x^I)^p with every exponent of pI below q are
     subtracted.  Both steps commute with truncation, and so does the exact
     division by p, because m^[q] is a monomial ideal.  Without q the bound
@@ -427,15 +427,72 @@ def delta_carry(f: Poly, q: int | None = None) -> Poly:
 
     The lift runs on packed keys (see ``ring``): a key is the same in F_p
     and in Z, so f is packed once, the p-th power, the subtraction and the
-    division by p work on one term map, and the result is unpacked once.
+    division by p work on one term map (``_lift_delta``), and the result is
+    unpacked once.
+    """
+    ring = f.ring
+    if not ring.char:
+        raise ValueError("delta_carry needs prime characteristic")
+    return ring.from_packed(_lift_delta(ring, f.packed(), NO_CUT if q is None else q))
+
+
+def delta_of_power(f: Poly, k: int, q: int | None = None) -> Poly:
+    """delta(f^k) modulo m^[q] for k >= 1, from f rather than from f^k:
+
+        delta(f^k) = k * F(f^{k-1}) * delta(f) + F(eps).
+
+    F multiplies every exponent by p.  With f = sum a_I x^I, let
+    T(c) = (c mod p)^p mod p^2, the Teichmuller representative mod p^2, and
+    e = (sum T(a_I) x^I)^k over Z; then eps = sum_J ((e_J - T(e_J))/p mod p)
+    x^J.  So delta is taken of f alone, and f^k never needs a Z lift.
+
+    Proof, in W_2.  [f] = A + V(delta(f)) with A = sum_I [a_I x^I], and
+    [f^k] = [f]^k.  V(a) V(b) = 0 and c V(a) = V(F(c_0) a), so
+    [f]^k = A^k + V(k F(f^{k-1}) delta(f)).  A^k and (f^k)([x]) have the
+    same first coordinate f^k, and their ghost components w_1 are F(e) and
+    sum_J T(b_J) x^{pJ} mod p^2, with b_J = e_J mod p the coefficients of
+    f^k; so A^k - (f^k)([x]) = V(F(eps)).  [f^k] = (f^k)([x]) + V(delta(f^k))
+    then gives the identity.
+
+    Modulo m^[q] the identity needs delta(f) mod m^[q] (``_lift_delta``,
+    the routine behind ``delta_carry``), and f^{k-1} and e only modulo
+    m^[r], r = ceil(q/p): x^{pJ} lies outside m^[q] exactly when every
+    exponent of J is below r, and then pJ < q.  One power chain over Z/p^2
+    gives both: e' = (sum T(a_I) x^I)^{k-1} mod (p^2, m^[r]) is f^{k-1}
+    mod p, and e = e' * (sum T(a_I) x^I).  delta(f) is skipped when
+    k F(f^{k-1}) is 0 mod m^[q].  f is packed once and the result unpacked
+    once.  At k = 1 the identity reads delta(f) = delta(f), and
+    ``delta_carry`` answers.
     """
     ring = f.ring
     p = ring.char
     if not p:
-        raise ValueError("delta_carry needs prime characteristic")
+        raise ValueError("delta_of_power needs prime characteristic")
+    if k < 1:
+        raise ValueError("delta_of_power needs k >= 1")
+    if k == 1:
+        return delta_carry(f, q)
     q = NO_CUT if q is None else q
+    r, square = -(-q // p), p * p
     terms = f.packed()
-    power = ring.lift_ring().pow_terms(terms, p, q)
+    lift = {key: pow(c, p, square) for key, c in terms.items()}
+    power = ring.pow_terms(lift, k - 1, r, square)  # e'
+    out: Terms = {}
+    if factor := {key: b for key, c in power.items() if (b := c * k % p)}:
+        out = ring.mul_terms(_frobenius(ring, factor), _lift_delta(ring, terms, q), q)
+    eps = {}
+    for key, c in ring.mul_terms(power, lift, r, square).items():
+        if t := (c - pow(c, p, square)) // p % p:
+            eps[key] = t
+    add_terms(out, _frobenius(ring, eps), p)
+    return ring.from_packed(out)
+
+
+def _lift_delta(ring: PolyRing, terms: Terms, q: int) -> Terms:
+    """delta of the packed term map terms modulo m^[q], packed: the Z lift
+    of ``delta_carry``."""
+    p = ring.char
+    power = ring.pow_terms(terms, p, q, 0)  # over Z
     # the terms whose p-th power survives: every exponent below ceil(q / p);
     # each such power is a key of the lift's power, whose coefficients are
     # all positive
@@ -448,7 +505,7 @@ def delta_carry(f: Poly, q: int | None = None) -> Poly:
             raise ArithmeticError(f"coefficient {c} not divisible by {p}")
         if r := quotient % p:
             out[k] = r
-    return ring.from_packed(out)
+    return out
 
 
 def eval_at_teichmuller(f: Poly, n: int) -> WittVector:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from qfsplit import linalg
@@ -281,3 +283,28 @@ class TestVerdicts:
         assert result.verdict.quasi2 is False
         assert result.verdict.height_le is None
         assert result.carry is not None and result.carry.is_zero()
+
+
+PRIMES_BELOW_100 = tuple(p for p in range(2, 100) if all(p % d for d in range(2, p)))
+
+# z^2 + a x^4 + b y^4 and z^2 + a x^3 + b y^6 with units a, b, as
+# (x-exponent, y-exponent, modulus, least prime): the elliptic curve behind
+# each has CM by Z[i], resp. Z[w], so it is ordinary iff p = 1 mod 4, resp.
+# p = 1 mod 3.  The cover is then F-split, and of height 2 otherwise.  Below
+# the least prime, g is a p-th power and the singularity is not isolated.
+SIMPLE_ELLIPTIC = ((4, 4, 4, 3), (3, 6, 3, 5))
+
+
+def test_simple_elliptic_covers_follow_the_residue_rule_below_100(rng):
+    # the carry takes delta of -g, not of (-g)^{(p-1)/2}: 1.9 and 1.5 s for
+    # the two shapes while delta was taken of the power
+    start = time.perf_counter()
+    for a, b, modulus, least in SIMPLE_ELLIPTIC:
+        for p in PRIMES_BELOW_100:
+            if p >= least:
+                ring = PolyRing(p, ("x", "y"))
+                g = ring.from_terms({(a, 0): rng.randint(1, p - 1), (0, b): rng.randint(1, p - 1)})
+                verdict = analyze(DoubleCover(p, g)).verdict
+                expected = (True, 1) if p % modulus == 1 else (False, 2)
+                assert (verdict.f_split, verdict.height_le) == expected, (g, p)
+    assert time.perf_counter() - start < 1.0

@@ -599,14 +599,15 @@ def test_cross_check_cech_jobs_give_their_pinned_answers(seed):
     assert failed == []
 
 
-# the doublecover benchmark families at their primes; x^3 + y^6 + x^2 y^3 is
+# the doublecover benchmark families at their primes, the two simple-elliptic
+# shapes also at 29 and x^3 + y^6 + x^2 y^3 also at 11 and 17; the last is
 # not quasi-homogeneous, so the engine answers it by bounded membership
 DOUBLECOVER_FAMILIES = [
-    ("x^4 + y^4", (3, 5, 7, 11, 13, 17, 19, 23)),
-    ("x^3 + y^6", (5, 7, 11, 13, 17, 19, 23)),
+    ("x^4 + y^4", (3, 5, 7, 11, 13, 17, 19, 23, 29)),
+    ("x^3 + y^6", (5, 7, 11, 13, 17, 19, 23, 29)),
     ("x^3 + x*y^4", (2, 3, 5, 7, 11)),
     ("x^3 + y^7", (2, 3, 5, 7, 11)),
-    ("x^3 + y^6 + x^2*y^3", (2, 3, 5, 7)),
+    ("x^3 + y^6 + x^2*y^3", (2, 3, 5, 7, 11, 17)),
 ]
 
 

@@ -1,10 +1,11 @@
 """Property tests for Witt arithmetic over F_p: every sum, difference,
 product and negative equals the ghost route's answer, the carry
-polynomial delta computed modulo m^[q] equals the full one truncated, and
-two packed routes equal the Poly-based code they replaced, kept here as
-the reference, down to where ExponentOverflowError is raised: delta's Z
-lift, and the kernel of sums, products and the Horner carry on packed-key
-term maps."""
+polynomial delta computed modulo m^[q] equals the full one truncated,
+delta of a power taken by the identity of ``delta_of_power`` equals delta
+of the power itself, and two packed routes equal the Poly-based code they
+replaced, kept here as the reference, down to where ExponentOverflowError
+is raised: delta's Z lift, and the kernel of sums, products and the Horner
+carry on packed-key term maps."""
 
 import operator
 
@@ -15,13 +16,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from qfsplit.ring import ExponentOverflowError, Poly, PolyRing  # noqa: E402
+from qfsplit.ring import NO_CUT, ExponentOverflowError, Poly, PolyRing  # noqa: E402
 from qfsplit.witt import (  # noqa: E402
     WittVector,
     _carry,
     _carry_table,
     _scalar_carry,
     delta_carry,
+    delta_of_power,
 )
 
 
@@ -142,6 +144,29 @@ def test_delta_at_the_exponent_limit(p, top, raises):
     else:
         assert delta_carry(f) == lifted_delta(f)
     assert delta_carry(f, p * p).is_zero()
+
+
+@st.composite
+def powers(draw):
+    """(f, k, q): f over F_p in 1-2 variables with at most 3 terms of
+    exponent up to p + 1, k in [1, 2p] (so k = p and multiples of p, where
+    the k * F(f^{k-1}) * delta(f) part is 0, are drawn), and q on both sides
+    of p and p^2, or no cut."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    ring = PolyRing(p, ("x", "y")[: draw(st.integers(1, 2))])
+    exps = st.tuples(*[st.integers(0, p + 1) for _ in ring.variables])
+    f = ring.from_terms(dict(draw(st.lists(st.tuples(exps, st.integers(1, p - 1)), max_size=3))))
+    q = draw(st.sampled_from([1, p, p + 1, p * p, p * p + 1, NO_CUT]))
+    return f, draw(st.integers(1, 2 * p)), q
+
+
+@settings(deadline=None, max_examples=200)
+@given(powers())
+@example((PolyRing(3, ("x", "y")).parse("x + y"), 2, NO_CUT))  # F(eps) = x^3 y^3
+@example((PolyRing(5, ("x", "y")).parse("x^2 + 3*y + x*y"), 5, 26))  # k = p: no delta(f) part
+def test_delta_of_a_power_is_delta_of_the_power(case):
+    f, k, q = case
+    assert delta_of_power(f, k, q) == delta_carry(f**k, q)
 
 
 # -- the Poly-based kernel the packed one replaced -------------------------
