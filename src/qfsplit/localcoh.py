@@ -19,6 +19,7 @@ carry class only.  The carry class rests on delta(h) modulo
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 from types import MappingProxyType
 
@@ -381,83 +382,135 @@ def quasi_homogeneous_grading(g: Poly) -> tuple[int, int, int] | None:
 
 def has_isolated_singularity(cover: DoubleCover) -> bool:
     """Jacobian check that the origin is the only singular point of the
-    affine surface z^2 + g = 0: True when some pure powers x^N, y^N lie in
-    J = (g_x, g_y) (+ (g) when p is odd), so those generators vanish nowhere
-    else in the (x, y)-plane.  The test is global, not local: a cover whose
-    singularity at the origin is isolated but which has a second singular
-    point gives False (z^2 + y^2 - x^2 (x-1)^2 at p = 5, also singular at
-    (1, 0)).
+    affine surface z^2 + g = 0: True exactly when some pure powers x^N, y^N
+    lie in J = (g_x, g_y) (+ (g) when p is odd), so those generators vanish
+    nowhere else in the (x, y)-plane.  The test is global, not local: a
+    cover whose singularity at the origin is isolated but which has a second
+    singular point gives False (z^2 + y^2 - x^2 (x-1)^2 at p = 5, also
+    singular at (1, 0)).
 
-    Quasi-homogeneous g with weights (w_x, w_y) and weighted degree D, when
-    p = 2 or p does not divide D: the answer is exact.  At odd p, Euler's
-    identity D g = w_x x g_x + w_y y g_y puts g in (g_x, g_y), so in both
-    cases J = (g_x, g_y), generated by two weighted-homogeneous partials.
-    If one partial is 0, J is principal and m-primary iff the other is a
-    nonzero constant.  Otherwise J is m-primary iff g_x, g_y form a regular
-    sequence, and then F_p[x, y]/J has socle degree
-    s = (D - w_x) + (D - w_y) - w_x - w_y, so every monomial of weighted
-    degree above s lies in J.  Hence J is m-primary iff x^N in J and
-    y^M in J with N = max(1, s // w_x + 1), M = max(1, s // w_y + 1), and J
-    is graded, so each membership is one span test over the multiples
-    m g_x and m g_y of exactly that weighted degree.  The singular locus of
-    weighted-homogeneous z^2 + g is a cone (every G_m-orbit closure passes
-    through the origin), so "J is m-primary" is the same as "the origin is
-    the only singular point", and False means the surface is shown not to
-    have an isolated singularity.
-
-    Every other cover (g not quasi-homogeneous, or odd p dividing D, as E6
-    at p = 3 where g_x = 0 and g is needed) takes the capped sweep, and
-    there False also follows when no such powers appear below the cap: for
-    N = 1, 2, ... up to (d-1)^2 + d, d = deg g, the span of the multiples
-    x^u y^v * gen with u + v <= N + d is tested for x^N and y^N.  One
-    elimination basis grows with N: step 1 adds every multiple up to degree
-    1 + d, each later step only those of degree N + d.
+    The decision is exact for every g.  A reduced grevlex Groebner basis of
+    J in F_p[x, y] (``_groebner_basis``) gives A = F_p[x, y]/J: A is
+    finite-dimensional iff the basis has leading monomials x^a and y^b, and
+    then delta = dim A is the number of standard monomials.  If A is not
+    finite-dimensional, no x^N, y^N both lie in J (they would leave only
+    the monomials x^u y^v with u, v < N in A), and the answer is False.
+    Otherwise x^N, y^N lie in J for some N iff multiplication by x and by y
+    is nilpotent on A, and a nilpotent operator on a delta-dimensional space
+    has x^delta = 0; so the answer is whether x^delta and y^delta reduce to
+    0 modulo the basis.  J = (1) gives delta = 0 and True.  By the
+    Nullstellensatz, x and y are nilpotent in A iff V(J) lies in {0} over
+    the algebraic closure of F_p, that is, iff the origin is the only
+    singular point; so False means the surface is shown not to have an
+    isolated singularity.
     """
-    g = cover.g
-    gens = [g.derivative("x"), g.derivative("y")]
-    grading = quasi_homogeneous_grading(g)
-    if grading is not None and (cover.p == 2 or grading[2] % cover.p):
-        return _graded_isolated(*gens, *grading)
-    if cover.p != 2:
-        gens.append(g)
-    gens = [gen.term_map() for gen in gens if not gen.is_zero()]
-    d = max(2, g.total_degree())
-    cap = (d - 1) * (d - 1) + d
-    basis = linalg.GaussianBasis(cover.p)
-    found_x = found_y = False
-    for n in range(1, cap + 1):
-        for degree in range(0 if n == 1 else n + d, n + d + 1):
-            for u in range(degree + 1):
-                v = degree - u
-                for terms in gens:
-                    basis.add({(a + u, b + v): c for (a, b), c in terms.items()})
-        found_x = found_x or basis.contains({(n, 0): 1})
-        found_y = found_y or basis.contains({(0, n): 1})
-        if found_x and found_y:
-            return True
-    return False
+    g, p = cover.g, cover.p
+    gens = [g.derivative("x").term_map(), g.derivative("y").term_map()]
+    if p != 2:
+        gens.append(g.term_map())
+    basis = _groebner_basis(gens, p)
+    leads = [lead for lead, _ in basis]
+    a = next((u for u, v in leads if not v), None)
+    b = next((v for u, v in leads if not u), None)
+    if a is None or b is None:
+        return False
+    # the standard monomials x^u y^v, u < a, are those with v below every
+    # lead x^s y^t with s <= u (the lead y^b is one)
+    delta = sum(min(t for s, t in leads if s <= u) for u in range(a))
+    return not (_remainder({(delta, 0): 1}, basis, p) or _remainder({(0, delta): 1}, basis, p))
 
 
-def _graded_isolated(gx: Poly, gy: Poly, wx: int, wy: int, degree: int) -> bool:
-    """J = (g_x, g_y) is m-primary, for g weighted homogeneous of the given
-    weights and degree: the graded test of has_isolated_singularity."""
-    if not gx or not gy:
-        unit = gx or gy  # J is principal
-        return bool(unit) and unit.total_degree() == 0
-    gens = [(gx.term_map(), degree - wx), (gy.term_map(), degree - wy)]
-    socle_degree = gens[0][1] + gens[1][1] - wx - wy
-    for target, w in (((1, 0), wx), ((0, 1), wy)):
-        n = max(1, socle_degree // w + 1)
-        basis = linalg.GaussianBasis(gx.ring.char)
-        for terms, gen_degree in gens:
-            rest = n * w - gen_degree  # weighted degree of the multiplier
-            for u in range(rest // wx + 1):  # empty when rest < 0
-                v, off = divmod(rest - u * wx, wy)
-                if not off:
-                    basis.add({(a + u, b + v): c for (a, b), c in terms.items()})
-        if not basis.contains({(n * target[0], n * target[1]): 1}):
-            return False
-    return True
+# Groebner bases of ideals of F_p[x, y] in grevlex order (x > y), on term
+# maps {(u, v): c}.  A basis is a list of (lead, tail): the monic element is
+# x^lead + tail, and the tail holds the other terms.
+
+
+def _grevlex(m: tuple[int, int]) -> tuple[int, int]:
+    return m[0] + m[1], m[0]
+
+
+def _remainder(terms: dict, basis: list, p: int) -> dict:
+    """The remainder of terms on division by basis: no term of it is
+    divisible by a lead of basis."""
+    work, rest = dict(terms), {}
+    while work:
+        m = max(work, key=_grevlex)
+        c = work.pop(m)
+        for (s, t), tail in basis:
+            du, dv = m[0] - s, m[1] - t
+            if du >= 0 and dv >= 0:
+                for (u, v), e in tail.items():
+                    key = (u + du, v + dv)
+                    if r := (work.get(key, 0) - c * e) % p:
+                        work[key] = r
+                    else:
+                        work.pop(key, None)
+                break
+        else:
+            rest[m] = c
+    return rest
+
+
+def _interreduce(polys: list, p: int) -> list:
+    """A basis of the ideal of polys whose leads divide no other lead and
+    whose tails are reduced modulo the other elements.  An element whose
+    lead a newer lead divides is reduced again, never dropped."""
+    basis, todo = [], [f for f in polys if f]
+    while todo:
+        f = _remainder(todo.pop(), basis, p)
+        if not f:
+            continue
+        lead = max(f, key=_grevlex)
+        inverse = pow(f.pop(lead), -1, p)
+        tail = {m: c * inverse % p for m, c in f.items()}
+        kept = []
+        for (s, t), other in basis:
+            if s >= lead[0] and t >= lead[1]:
+                todo.append({(s, t): 1, **other})
+            else:
+                kept.append(((s, t), other))
+        basis = kept + [(lead, tail)]
+    for i, (lead, tail) in enumerate(basis):
+        basis[i] = (lead, _remainder(tail, basis[:i] + basis[i + 1 :], p))
+    return basis
+
+
+def _groebner_basis(gens: list, p: int) -> list:
+    """The reduced grevlex Groebner basis of the ideal of gens, by
+    Buchberger's algorithm with the basis interreduced after every new
+    element, pairs taken smallest lcm first.  Pairs of coprime leads are
+    skipped (their S-polynomial reduces to 0).  A pair whose S-polynomial
+    reduced to 0 stays done while both of its leads stay: interreduction
+    keeps the ideal, writes every old element as a combination of the new
+    ones whose terms lie at or below its lead, and changes an element that
+    keeps its lead only below that lead.  So the S-polynomial of a done
+    pair keeps a representation whose terms lie below the lcm of its leads,
+    and when no pair is left the basis meets Buchberger's criterion in that
+    form (lcm representations: Cox, Little and O'Shea, Ideals, Varieties,
+    and Algorithms, ch. 2 section 9)."""
+    basis, done = _interreduce(gens, p), set()
+    while True:
+        leads = {lead: tail for lead, tail in basis}
+        pairs = [
+            ((max(a[0], b[0]), max(a[1], b[1])), a, b)
+            for a, b in combinations(leads, 2)
+            if (min(a[0], b[0]) or min(a[1], b[1])) and frozenset((a, b)) not in done
+        ]
+        if not pairs:
+            return basis
+        lcm, a, b = min(pairs, key=lambda pair: _grevlex(pair[0]))
+        s = {}
+        for lead, sign in ((a, 1), (b, -1)):
+            du, dv = lcm[0] - lead[0], lcm[1] - lead[1]
+            for (u, v), c in leads[lead].items():
+                key = (u + du, v + dv)
+                s[key] = (s.get(key, 0) + sign * c) % p
+        s = _remainder({m: c for m, c in s.items() if c}, basis, p)
+        if s:
+            basis = _interreduce([{lead: 1, **tail} for lead, tail in basis] + [s], p)
+            done = {pair for pair in done if pair <= {lead for lead, _ in basis}}
+        else:
+            done.add(frozenset((a, b)))
 
 
 @dataclass(frozen=True)

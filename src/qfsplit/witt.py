@@ -411,14 +411,15 @@ def delta_carry(f: Poly, q: int | None = None) -> Poly:
 
         (1/p) * ((sum a_I x^I)^p - sum (a_I x^I)^p)
 
-    computed exactly over Z with each coefficient lifted to its
-    representative in [0, p), then reduced mod p.  It is the defect of
+    with each coefficient lifted to its representative in [0, p), then
+    reduced mod p.  Only the quotient mod p is read, so the lift's p-th
+    power and the term powers are taken mod p^2.  It is the defect of
     Teichmuller additivity: [f] = f([x_1], ..., [x_n]) + V(delta_carry(f))
     in W_2.
 
     With a bound q the result is delta(f) modulo m^[q] = (x_1^q, ..., x_n^q),
     i.e. delta(f).truncate(q): the lift's p-th power is taken in the
-    quotient by m^[q] over Z (``PolyRing.pow_terms`` at modulus 0), and
+    quotient by m^[q] mod p^2 (``PolyRing.pow_terms`` at modulus p^2), and
     only the term powers (a_I x^I)^p with every exponent of pI below q are
     subtracted.  Both steps commute with truncation, and so does the exact
     division by p, because m^[q] is a monomial ideal.  Without q the bound
@@ -426,7 +427,7 @@ def delta_carry(f: Poly, q: int | None = None) -> Poly:
     delta(f).
 
     The lift runs on packed keys (see ``ring``): a key is the same in F_p
-    and in Z, so f is packed once, the p-th power, the subtraction and the
+    and in Z/p^2, so f is packed once, the p-th power, the subtraction and the
     division by p work on one term map (``_lift_delta``), and the result is
     unpacked once.
     """
@@ -489,15 +490,15 @@ def delta_of_power(f: Poly, k: int, q: int | None = None) -> Poly:
 
 
 def _lift_delta(ring: PolyRing, terms: Terms, q: int) -> Terms:
-    """delta of the packed term map terms modulo m^[q], packed: the Z lift
-    of ``delta_carry``."""
+    """delta of the packed term map terms modulo m^[q], packed: the lift
+    mod p^2 of ``delta_carry``."""
     p = ring.char
-    power = ring.pow_terms(terms, p, q, 0)  # over Z
+    square = p * p
+    power = ring.pow_terms(terms, p, q, square)
     # the terms whose p-th power survives: every exponent below ceil(q / p);
-    # each such power is a key of the lift's power, whose coefficients are
-    # all positive
+    # mod p^2 the key of such a power can be missing from the lift's power
     for k, c in ring.cut_terms(terms, -(-q // p)).items():
-        power[k * p] -= c**p
+        power[k * p] = power.get(k * p, 0) - pow(c, p, square)
     out = {}
     for k, c in power.items():
         quotient, remainder = divmod(c, p)

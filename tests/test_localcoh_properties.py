@@ -1,12 +1,15 @@
-"""Property tests: the isolated-singularity check (its graded test and its
-incremental sweep) against a fresh solve for every degree, the Witt carry
-class against the direct integer formula and against nf(delta(nf(z^p))),
-the single z-degree of nf(z^p) that the carry class reads, and the
-membership's block walk against the whole box of Frobenius columns."""
+"""Property tests: the isolated-singularity check against the capped
+sweep it replaced (one fresh solve for every degree), its Groebner basis
+against Buchberger's criterion in plain ``Poly`` arithmetic, the Witt
+carry class against the direct integer formula and against
+nf(delta(nf(z^p))), the single z-degree of nf(z^p) that the carry class
+reads, and the membership's block walk against the whole box of Frobenius
+columns."""
 
 import json
 import os
 import sys
+import time
 
 import pytest
 
@@ -25,6 +28,7 @@ from qfsplit.localcoh import (  # noqa: E402
     MembershipResult,
     _frobenius_label_holders,
     _frobenius_label_image,
+    _groebner_basis,
     frobenius_h2,
     frobenius_image_membership,
     has_isolated_singularity,
@@ -56,14 +60,24 @@ def _pure_power_in_ideal(target, gens, degree_cap):
     return coeffs is not None
 
 
-def reference_isolated(cover):
-    """The capped sweep as one independent solve per n, x first, then y."""
+def jacobian_generators(cover):
+    """g_x, g_y, and g when p is odd: the generators of J."""
     g = cover.g
-    gens = [g.derivative("x"), g.derivative("y")]
-    if cover.p != 2:
-        gens.append(g)
+    return [g.derivative("x"), g.derivative("y")] + ([g] if cover.p != 2 else [])
+
+
+def reference_isolated(cover, cap=None):
+    """The capped sweep that the Groebner test replaced, as one independent
+    solve per n, x first, then y: True when x^n and y^n, n <= cap, are
+    combinations of the multiples x^u y^v * gen with u + v <= n + d,
+    d = deg g.  The cap defaults to the sweep's (d-1)^2 + d.  True is always
+    right; False can be wrong, since the cap bounds the multipliers and not
+    the membership."""
+    g = cover.g
+    gens = jacobian_generators(cover)
     d = max(2, g.total_degree())
-    cap = (d - 1) * (d - 1) + d
+    if cap is None:
+        cap = (d - 1) * (d - 1) + d
     ring = cover.ring_xy
     for n in range(1, cap + 1):
         if _pure_power_in_ideal(ring.monomial({"x": n}), gens, n + d):
@@ -80,11 +94,12 @@ MONOMIALS = [(u, v) for u in range(5) for v in range(5) if 1 <= u + v <= 4]
 
 
 @st.composite
-def covers(draw):
-    """z^2 + g with g of 1-4 terms, total degree <= 4, no constant term."""
+def covers(draw, degree=4):
+    """z^2 + g with g of 1-4 terms, total degree <= degree, no constant term."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
+    monomials = [(u, v) for u in range(degree + 1) for v in range(degree + 1 - u) if u + v]
     terms = draw(
-        st.dictionaries(st.sampled_from(MONOMIALS), st.integers(1, p - 1), min_size=1, max_size=4)
+        st.dictionaries(st.sampled_from(monomials), st.integers(1, p - 1), min_size=1, max_size=4)
     )
     return DoubleCover(p, PolyRing(p, ("x", "y")).from_terms(terms))
 
@@ -99,6 +114,7 @@ def cover(p, g):
 @example(cover(2, "x^2*y + y^4"))  # y^n found, x^n never
 @example(cover(3, "x^2"))  # neither found
 @example(cover(3, "x*y + x^3 + y^3"))  # not quasi-homogeneous: the sweep finds x, y at once
+@example(cover(5, "x^2*y + x*y^3 + x^4"))  # not quasi-homogeneous, isolated
 def test_incremental_isolated_check_matches_per_degree_solves(cover):
     assert has_isolated_singularity(cover) == reference_isolated(cover)
 
@@ -119,19 +135,120 @@ def quasi_homogeneous_covers(draw):
 @example(cover(2, "y"))  # g_x = 0 and g_y = 1: principal and the unit ideal
 @example(cover(2, "x^2*y + y^4"))  # g_x = 0: principal, not a unit
 @example(cover(3, "x^2*y^2"))  # not isolated
-@example(cover(3, "x^3 + y^4"))  # E6: odd p divides D = 12, so the sweep runs
-@example(cover(7, "x^3 + y^7"))  # odd p divides D = 21, so the sweep runs
+@example(cover(3, "x^3 + y^4"))  # E6: odd p divides D = 12, g_x = 0 and g is needed
+@example(cover(7, "x^3 + y^7"))  # odd p divides D = 21
 def test_graded_check_matches_the_sweep_on_quasi_homogeneous_covers(cover):
     assert has_isolated_singularity(cover) == reference_isolated(cover)
 
 
-@pytest.mark.parametrize("g", ["x^4 + y^4", "x^3 + y^6"])
-def test_graded_check_spans_one_degree(monkeypatch, g):
-    # the capped sweep adds 108 and 234 rows here
-    quasi, calls, add = cover(23, g), [], linalg.GaussianBasis.add
-    monkeypatch.setattr(linalg.GaussianBasis, "add", lambda basis, row: calls.append(row) or add(basis, row))
-    assert has_isolated_singularity(quasi)
-    assert 0 < len(calls) <= 12
+NO_BASIS_CASES = [
+    (23, "x^4 + y^4", True),
+    (23, "x^3 + y^6", True),
+    (7, "5*x^3*y + 6*x^5*y^4 + x^5*y^6 + 4*x^6*y", False),
+]
+
+
+@pytest.mark.parametrize("p,g,isolated", NO_BASIS_CASES, ids=[g for _, g, _ in NO_BASIS_CASES])
+def test_isolated_check_builds_no_elimination_basis(monkeypatch, p, g, isolated):
+    # the graded test added up to 12 rows on the first two, the sweep 108
+    # and 234, and it ran to its cap on the third
+    def refused(*args):
+        raise AssertionError("GaussianBasis built")
+
+    monkeypatch.setattr(linalg.GaussianBasis, "__init__", refused)
+    assert has_isolated_singularity(cover(p, g)) == isolated
+
+
+def grevlex_lead(f):
+    return max(f.term_map(), key=lambda m: (m[0] + m[1], m[0]))
+
+
+def remainder(f, basis):
+    """f on division by the Poly list basis in grevlex order (x > y), in
+    plain Poly arithmetic."""
+    ring, rest = f.ring, f.ring.zero()
+    while not f.is_zero():
+        m = grevlex_lead(f)
+        c = f.term_map()[m]
+        for b in basis:
+            s, t = grevlex_lead(b)
+            if m[0] >= s and m[1] >= t:
+                scale = c * pow(b.term_map()[s, t], -1, ring.char)
+                f = f - b * ring.monomial({"x": m[0] - s, "y": m[1] - t}, scale)
+                break
+        else:
+            term = ring.from_terms({m: c})
+            rest, f = rest + term, f - term
+    return rest
+
+
+def s_polynomial(f, g):
+    ring = f.ring
+    (a, b), (s, t) = grevlex_lead(f), grevlex_lead(g)
+    u, v = max(a, s), max(b, t)
+    left = ring.monomial({"x": u - a, "y": v - b}, pow(f.term_map()[a, b], -1, ring.char))
+    right = ring.monomial({"x": u - s, "y": v - t}, pow(g.term_map()[s, t], -1, ring.char))
+    return f * left - g * right
+
+
+@settings(deadline=None, max_examples=40)
+@given(covers(degree=8))
+@example(cover(2, "x*y^2 + x^6*y + x^3*y^4 + x^3*y^6"))
+@example(cover(7, "y^4 + 3*x^2*y^3 + 6*x^3*y^5 + 5*x^5*y^2"))
+@example(cover(5, "x^2"))  # J = (x): not finite-dimensional
+@example(cover(3, "x + y^5"))  # J = (1)
+def test_isolated_check_basis_is_a_groebner_basis(cover):
+    # Buchberger's criterion on the returned basis: every generator of J
+    # and every S-polynomial (coprime leads too) leaves remainder 0; the
+    # basis is monic and reduced.  A sweep capped at n <= 8 that finds
+    # x^n, y^n in J is right, so the check must then answer True.
+    ring = cover.ring_xy
+    generators = jacobian_generators(cover)
+    basis = _groebner_basis([gen.term_map() for gen in generators], cover.p)
+    polys = [ring.from_terms({lead: 1, **tail}) for lead, tail in basis]
+    for (lead, tail), poly in zip(basis, polys):
+        assert grevlex_lead(poly) == lead and lead not in tail
+        others = [other for other, _ in basis if other != lead]
+        assert not any(u >= s and v >= t for u, v in poly.term_map() for s, t in others)
+    for gen in generators:
+        assert remainder(gen, polys).is_zero()
+    for i, f in enumerate(polys):
+        for g in polys[i + 1 :]:
+            assert remainder(s_polynomial(f, g), polys).is_zero()
+    if reference_isolated(cover, cap=8):
+        assert has_isolated_singularity(cover)
+
+
+def test_isolated_past_the_sweep_cap():
+    # the sweep answered False here: it took x^u y^v * gen only up to
+    # degree n + d = n + 9 for x^n, y^n, and y^2 needs higher multiples.
+    # The certificate in plain Poly arithmetic over F_2:
+    # x^6 = g_y and y^2 = (1 + x^2 w + x^4 w^2) g_x + y^2 w^3 g_y, w = y^2 + y^4
+    isolated = cover(2, "x*y^2 + x^6*y + x^3*y^4 + x^3*y^6")
+    ring = isolated.ring_xy
+    x, y = ring.gen("x"), ring.gen("y")
+    gx, gy = isolated.g.derivative("x"), isolated.g.derivative("y")
+    w = y**2 + y**4
+    assert x**6 == gy
+    assert y**2 == (ring.one() + x**2 * w + x**4 * w**2) * gx + y**2 * w**3 * gy
+    assert has_isolated_singularity(isolated)
+
+
+# Non-isolated covers on which the capped sweep ran to its cap: 8.2 s,
+# 20.9 s, 3.7 s, more than 40 s and 0.5 s for the check alone.
+SWEPT_TO_THE_CAP = [
+    (3, "2*x^3*y^4 + 2*x^4*y + 2*x^4*y^6 + 2*x^6*y"),
+    (7, "5*x^3*y + 6*x^5*y^4 + x^5*y^6 + 4*x^6*y"),
+    (7, "y^4 + 3*x^2*y^3 + 6*x^3*y^5 + 5*x^5*y^2"),
+    (7, "x^4*y^5 + 4*x^5*y^5 + 6*x^6*y^4"),
+    (7, "4*y^4 + 2*x*y^3 + 5*x^5*y^6"),
+]
+
+
+def test_non_isolated_covers_decide_within_a_second():
+    start = time.perf_counter()
+    assert [has_isolated_singularity(cover(p, g)) for p, g in SWEPT_TO_THE_CAP] == [False] * 5
+    assert time.perf_counter() - start < 1.0
 
 
 def reference_carry(cover, splitting):

@@ -83,28 +83,31 @@ def test_engine_agrees_with_both_oracles(drawn):
 
 @st.composite
 def supports(draw):
-    """(p, {(u, v): c}, None) at p = 2 ... 7: 2 to 4 terms x^u y^v of total
-    degree 2 ... 6 with random nonzero coefficients, and no known verdict."""
+    """(p, {(u, v): c}) at p = 2 ... 7: 2 to 4 terms x^u y^v of total
+    degree 2 ... 6 with random nonzero coefficients."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     exponents = st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda e: 2 <= sum(e) <= 6)
     terms = draw(st.lists(exponents, min_size=2, max_size=4, unique=True))
-    return p, {e: draw(st.integers(1, p - 1)) for e in terms}, None
+    return p, {e: draw(st.integers(1, p - 1)) for e in terms}
 
 
-# The examples are the two covers of ROADMAP item 14 at p = 7; the oracle
-# must answer each in under a second.  They carry the engine's verdict:
-# analyze answers False on both, but takes about 0.6 s and 3.5 s, nearly all of
-# it in the isolated-singularity sweep (ROADMAP item 11).
+# The examples are the two covers of ROADMAP item 14 at p = 7.  The oracle
+# and analyze must each answer in under a second: analyze took 0.33 s and
+# 2.3 s on them while its isolated-singularity check was a capped sweep,
+# and takes milliseconds with the Groebner test (ROADMAP item 11).
 @settings(derandomize=True, deadline=None, max_examples=30)
-@example((7, {(0, 4): 4, (1, 3): 2, (5, 6): 5}, False))
-@example((7, {(0, 4): 1, (2, 3): 3, (3, 5): 6, (5, 2): 5}, False))
+@example((7, {(0, 4): 4, (1, 3): 2, (5, 6): 5}))
+@example((7, {(0, 4): 1, (2, 3): 3, (3, 5): 6, (5, 2): 5}))
 @given(supports())
 def test_cech_oracle_agrees_with_engine_off_the_quasi_homogeneous_line(drawn):
-    p, terms, verdict = drawn
+    p, terms = drawn
     g = PolyRing(p, ("x", "y")).from_terms(terms)
     assume(quasi_homogeneous_grading(g) is None)
     cover = DoubleCover(p, g)
     start = time.perf_counter()
     oracle = quasi2_cech_oracle(cover)
     assert time.perf_counter() - start < 1.0
-    assert oracle == (analyze(cover).verdict.quasi2 if verdict is None else verdict)
+    start = time.perf_counter()
+    engine = analyze(cover).verdict.quasi2
+    assert time.perf_counter() - start < 1.0
+    assert oracle == engine
