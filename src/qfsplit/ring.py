@@ -37,8 +37,8 @@ ExponentOverflowError.  ``*`` is the product at the no-cut bound
 
 The pair loop of every product (``multiply_terms``) and the add loop of
 every sum (``add_terms``) are module functions that ``Poly`` and the Witt
-kernel share; the Witt kernel keeps its coordinates as packed-key term maps
-through a whole sum or product and unpacks once.
+kernel share; a Witt vector stores its coordinates as packed-key term maps,
+so its sums and products neither pack nor unpack.
 """
 
 from __future__ import annotations

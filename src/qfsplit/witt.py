@@ -26,13 +26,16 @@ homogeneity splits a node's children by digit sum into at most two
 groups, and each group is one Horner pass in a, so every product is a
 running value times a head or a power of one.
 
-Sums, products, negatives and ``eval_at_teichmuller`` run on coordinates
-held as packed-key term maps {key: coeff} (see ``ring``): each operation
-packs its operands once, multiplies and adds them with the ring's own pair
-and add loops (``multiply_terms``, ``add_terms``), takes a Frobenius power
-as one multiplication of every key by p^k (``PolyRing.frobenius_terms``,
-which raises ExponentOverflowError for an exponent past 2^63 - 1), and
-unpacks the result once.
+A vector stores its coordinates as packed-key term maps {key: coeff}
+(see ``ring``): the public constructor packs its Poly components once, and
+``components`` unpacks them on each read.  Sums, products, negatives,
+Frobenius, Verschiebung and ``eval_at_teichmuller`` run on the stored maps:
+products and sums go through the ring's own pair and add loops
+(``multiply_terms``, ``add_terms``), and a Frobenius power is one
+multiplication of every key by p^k (``PolyRing.frobenius_terms``, which
+raises ExponentOverflowError for an exponent past 2^63 - 1).  Results share
+maps with their operands, so no operation mutates an operand's map: every
+map an operation writes into is one it built itself.
 
 The ghost route stays as the reference the tests compare against and as
 the builder of tau: lift each coordinate to its representative in [0, p),
@@ -65,6 +68,15 @@ class WittLengthError(ValueError):
     """Witt vector length outside [1, LENGTH_CAP]."""
 
 
+Terms = dict[int, int]  # packed key -> coefficient in [1, p), see ``ring``
+Coords = tuple[Terms, ...]
+
+
+def _check_prime(ring: PolyRing) -> None:
+    if ring.char == 0:
+        raise ValueError("Witt vectors require prime characteristic")
+
+
 def _checked_length(n: int) -> int:
     """n, once it lies in [1, LENGTH_CAP]: checked before n components are
     built, so a huge n fails at once."""
@@ -74,20 +86,32 @@ def _checked_length(n: int) -> int:
 
 
 class WittVector:
-    """Immutable Witt vector (a_0, ..., a_{n-1}) of polynomials over F_p."""
+    """Immutable Witt vector (a_0, ..., a_{n-1}) of polynomials over F_p.
 
-    __slots__ = ("ring", "components")
+    The coordinates are stored as packed-key term maps (module docstring)
+    and may be shared with other vectors; no operation mutates them.
+    ``components`` unpacks them into Polys on each read.
+    """
+
+    __slots__ = ("ring", "_coords")
 
     def __init__(self, ring: PolyRing, components: Sequence[Poly]):
-        if ring.char == 0:
-            raise ValueError("Witt vectors require prime characteristic")
+        _check_prime(ring)
         components = tuple(components)
         _checked_length(len(components))
         for a in components:
             if a.ring != ring:
                 raise RingMismatchError("component ring differs from Witt ring context")
         self.ring = ring
-        self.components = components
+        self._coords: Coords = tuple(a.packed() for a in components)
+
+    @classmethod
+    def _of(cls, ring: PolyRing, coords: Coords) -> "WittVector":
+        """The vector of packed coordinates the kernel built; checks nothing."""
+        vector = object.__new__(cls)
+        vector.ring = ring
+        vector._coords = coords
+        return vector
 
     # -- constructors -----------------------------------------------------
 
@@ -102,36 +126,41 @@ class WittVector:
     @classmethod
     def p_element(cls, ring: PolyRing, n: int) -> "WittVector":
         """p = (0, 1, 0, ..., 0)."""
-        comps = list(cls.zero(ring, n).components)
-        if n > 1:
-            comps[1] = ring.one()
-        return cls(ring, comps)
+        coords = cls.zero(ring, n)._coords
+        return cls._of(ring, coords[:1] + ({0: 1},) + coords[2:] if n > 1 else coords)
 
     @classmethod
     def teichmuller(cls, f: Poly, n: int) -> "WittVector":
         """[f] = (f, 0, ..., 0); multiplicative but not additive.  Every
         constructor from a length comes here, and n is checked before any
         component is built."""
-        return cls(f.ring, [f] + [f.ring.zero()] * (_checked_length(n) - 1))
+        zeros = ({},) * (_checked_length(n) - 1)
+        _check_prime(f.ring)
+        return cls._of(f.ring, (f.packed(),) + zeros)
 
     # -- basic structure ----------------------------------------------------
 
     @property
+    def components(self) -> tuple[Poly, ...]:
+        """The coordinates as Polys, unpacked on each read."""
+        return tuple(self.ring.from_packed(c) for c in self._coords)
+
+    @property
     def n(self) -> int:
-        return len(self.components)
+        return len(self._coords)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, WittVector)
             and self.ring == other.ring
-            and self.components == other.components
+            and self._coords == other._coords
         )
 
     def __hash__(self) -> int:
-        return hash((self.ring, self.components))
+        return hash((self.ring, tuple(frozenset(c.items()) for c in self._coords)))
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.components)
+        return not any(self._coords)
 
     def render(self) -> str:
         return "(" + "; ".join(a.render() for a in self.components) + ")"
@@ -180,14 +209,14 @@ class WittVector:
 
     def __add__(self, other: "WittVector") -> "WittVector":
         self._check(other)
-        return _unpacked(self.ring, _sum(self.ring, self.n, [_packed(self), _packed(other)]))
+        return WittVector._of(self.ring, _sum(self.ring, self.n, [self._coords, other._coords]))
 
     def __neg__(self) -> "WittVector":
         ring = self.ring
         if ring.char == 2:
             minus_one = ({0: 1},) * self.n
-            return _unpacked(ring, _product(ring, minus_one, _packed(self)))
-        return WittVector(ring, [-a for a in self.components])
+            return WittVector._of(ring, _product(ring, minus_one, self._coords))
+        return WittVector._of(ring, tuple(scale_terms(c, -1, ring.char) for c in self._coords))
 
     def __sub__(self, other: "WittVector") -> "WittVector":
         self._check(other)
@@ -195,23 +224,25 @@ class WittVector:
 
     def __mul__(self, other: "WittVector") -> "WittVector":
         self._check(other)
-        return _unpacked(self.ring, _product(self.ring, _packed(self), _packed(other)))
+        return WittVector._of(self.ring, _product(self.ring, self._coords, other._coords))
 
     # -- structural maps ----------------------------------------------------
 
     def frobenius(self) -> "WittVector":
         """F(a_0, ..., a_{n-1}) = (a_0^p, ..., a_{n-1}^p); a ring homomorphism."""
-        return WittVector(self.ring, [a.frobenius_power() for a in self.components])
+        ring = self.ring
+        return WittVector._of(ring, tuple(_frobenius(ring, c) for c in self._coords))
 
     def verschiebung(self) -> "WittVector":
         """V: W_n -> W_{n+1}, (a_0, ..., a_{n-1}) -> (0, a_0, ..., a_{n-1})."""
-        return WittVector(self.ring, (self.ring.zero(),) + self.components)
+        _checked_length(self.n + 1)
+        return WittVector._of(self.ring, ({},) + self._coords)
 
     def restrict(self) -> "WittVector":
         """R: W_{n+1} -> W_n, drop the last coordinate."""
         if self.n == 1:
             raise WittLengthError("cannot restrict a length-1 Witt vector")
-        return WittVector(self.ring, self.components[:-1])
+        return WittVector._of(self.ring, self._coords[:-1])
 
     def extend(self, extra: int = 1) -> "WittVector":
         """Append extra >= 0 zero coordinates (a section of restriction).  The
@@ -219,7 +250,7 @@ class WittVector:
         if extra < 0:
             raise WittLengthError(f"cannot extend by {extra} coordinates")
         _checked_length(self.n + extra)
-        return WittVector(self.ring, self.components + (self.ring.zero(),) * extra)
+        return WittVector._of(self.ring, self._coords + ({},) * extra)
 
 
 def _ghost_sum(lift_ring: PolyRing, p: int, powers: Sequence[Poly]) -> Poly:
@@ -228,18 +259,6 @@ def _ghost_sum(lift_ring: PolyRing, p: int, powers: Sequence[Poly]) -> Poly:
     for i, q in enumerate(powers):
         total = total + (p**i) * q
     return total
-
-
-Terms = dict[int, int]  # packed key -> coefficient in [1, p), see ``ring``
-Coords = tuple[Terms, ...]
-
-
-def _packed(a: WittVector) -> Coords:
-    return tuple(c.packed() for c in a.components)
-
-
-def _unpacked(ring: PolyRing, coords: Coords) -> WittVector:
-    return WittVector(ring, [ring.from_packed(c) for c in coords])
 
 
 def _merged(a: Terms, b: Terms, p: int) -> Terms:
@@ -514,16 +533,17 @@ def eval_at_teichmuller(f: Poly, n: int) -> WittVector:
     variables and lift each coefficient through its Teichmuller constant,
     that is, the sum of the lifts [c x^e] of f's terms, taken by one _sum."""
     ring = f.ring
-    lifts = [
-        _packed(WittVector.teichmuller(ring.from_terms({exps: c}), n)) for exps, c in f.terms()
-    ]
-    return _unpacked(ring, _sum(ring, _checked_length(n), lifts))
+    zeros = ({},) * (_checked_length(n) - 1)
+    _check_prime(ring)
+    lifts = [({key: c},) + zeros for key, c in f.packed().items()]
+    return WittVector._of(ring, _sum(ring, n, lifts))
 
 
 def teichmuller_identity_sides(f: Poly) -> tuple[WittVector, WittVector]:
     """The two sides of [f] = f([x]) + V(delta_carry(f)) in W_2."""
-    carry = WittVector(f.ring, [f.ring.zero(), delta_carry(f)])
-    return WittVector.teichmuller(f, 2), eval_at_teichmuller(f, 2) + carry
+    lhs = WittVector.teichmuller(f, 2)
+    carry = WittVector._of(f.ring, ({}, _lift_delta(f.ring, lhs._coords[0], NO_CUT)))
+    return lhs, eval_at_teichmuller(f, 2) + carry
 
 
 def teichmuller_identity_holds(f: Poly) -> bool:

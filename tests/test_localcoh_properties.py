@@ -115,7 +115,7 @@ def cover(p, g):
 @example(cover(3, "x^2"))  # neither found
 @example(cover(3, "x*y + x^3 + y^3"))  # not quasi-homogeneous: the sweep finds x, y at once
 @example(cover(5, "x^2*y + x*y^3 + x^4"))  # not quasi-homogeneous, isolated
-def test_incremental_isolated_check_matches_per_degree_solves(cover):
+def test_groebner_isolated_check_matches_the_reference_sweep(cover):
     assert has_isolated_singularity(cover) == reference_isolated(cover)
 
 
@@ -137,7 +137,7 @@ def quasi_homogeneous_covers(draw):
 @example(cover(3, "x^2*y^2"))  # not isolated
 @example(cover(3, "x^3 + y^4"))  # E6: odd p divides D = 12, g_x = 0 and g is needed
 @example(cover(7, "x^3 + y^7"))  # odd p divides D = 21
-def test_graded_check_matches_the_sweep_on_quasi_homogeneous_covers(cover):
+def test_groebner_isolated_check_matches_the_reference_sweep_on_quasi_homogeneous_covers(cover):
     assert has_isolated_singularity(cover) == reference_isolated(cover)
 
 

@@ -239,6 +239,11 @@ class TestStructuralMaps:
         with pytest.raises(WittLengthError):
             WittVector.zero(r3, 8).extend(1)
 
+    def test_verschiebung_obeys_the_length_cap(self, r3):
+        assert WittVector.one(r3, 7).verschiebung() == WittVector.p_element(r3, 8)
+        with pytest.raises(WittLengthError, match=r"^length 9 outside \[1, 8\]$"):
+            WittVector.one(r3, 8).verschiebung()
+
     def test_extend_checks_the_length_before_building(self, r3):
         # 10^12 zero coordinates would exhaust memory if built first
         start = time.perf_counter()

@@ -1,11 +1,12 @@
 """Property tests for Witt arithmetic over F_p: every sum, difference,
-product and negative equals the ghost route's answer, the carry
-polynomial delta computed modulo m^[q] equals the full one truncated,
-delta of a power taken by the identity of ``delta_of_power`` equals delta
-of the power itself, and two packed routes equal the Poly-based code they
-replaced, kept here as the reference, down to where ExponentOverflowError
-is raised: delta's Z lift, and the kernel of sums, products and the Horner
-carry on packed-key term maps."""
+product and negative equals the ghost route's answer, no operation changes
+its operands, equal vectors hash equal, the carry polynomial delta computed
+modulo m^[q] equals the full one truncated, delta of a power taken by the
+identity of ``delta_of_power`` equals delta of the power itself, and two
+packed routes equal the Poly-based code they replaced, kept here as the
+reference, down to where ExponentOverflowError is raised: delta's Z lift,
+and the kernel of sums, products and the Horner carry on packed-key term
+maps."""
 
 import operator
 
@@ -67,6 +68,32 @@ def test_operations_equal_the_ghost_route(case):
     assert u - v == via_ghost(operator.sub, u, v)
     assert u * v == via_ghost(operator.mul, u, v)
     assert -u == via_ghost(operator.neg, u)
+
+
+@settings(deadline=None, max_examples=100)
+@given(vector_pairs())
+def test_operations_leave_operands_unchanged_and_equal_vectors_hash_equal(case):
+    # vectors share their packed coordinate maps, so an operation that wrote
+    # into an operand's map would change the operand, and every result that
+    # shares the map, after the fact
+    u, v = case
+    ring, n = u.ring, u.n
+    before = [u.components, v.components]
+    operands = [u, v, u + v, u * v, -u, u - v]  # kernel results as operands too
+    before += [w.components for w in operands[2:]]
+    results = []
+    for a in operands:
+        results += [-a, a.frobenius(), a.verschiebung(), a.extend(1)]
+        if n > 1:
+            results.append(a.restrict())
+        for b in operands:
+            results += [a + b, a - b, a * b]
+    assert [w.components for w in operands] == before
+    for w in operands + results:
+        rebuilt = WittVector(ring, w.components)
+        assert rebuilt == w and hash(rebuilt) == hash(w)
+    for left, right in ((u + v, v + u), (u * v, v * u), (u - u, WittVector.zero(ring, n))):
+        assert left == right and hash(left) == hash(right)
 
 
 @st.composite
