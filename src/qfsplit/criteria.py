@@ -4,7 +4,11 @@ cross-checking.
 
 Both tests accept any nonzero f; reports pass them only f in the maximal
 ideal m = (x_1, ..., x_n), and every verdict decides the height (1, 2, or
-> 2).  ``height_search`` is a second name for ``quasi2_test``, kept because
+> 2).  Both read f^{p-1} mod m^[p], and the height-2 clause reads
+f^{p^2-p-1} * delta(f) mod m^[p^2]; every power of f and delta(f) itself
+are layers of one divided-power recurrence over F_p
+(``witt.divided_power_layers``), with no lift to Z/p^2 and no powering
+chain.  ``height_search`` is a second name for ``quasi2_test``, kept because
 perfbench's tracer wraps it by that name.
 
 The height-2 clause is stated for a homogeneous polynomial whose degree
@@ -18,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ring import Poly
-from .witt import delta_carry
+from .ring import Poly, scale_terms
+from .witt import delta_carry, divided_power_layers
 
 FLAG_CERTIFIED = "criterion-certified"
 FLAG_NON_HOMOGENEOUS = "non-homogeneous-criterion"
@@ -41,13 +45,14 @@ class Verdict:
     height bound height_le is derived from them.
 
     witnesses maps "clause1" and "clause2" to the hypersurface clause
-    polynomials f^{p-1} and f^{p^2-p-1} * delta(f), computed exactly in
-    the quotient by m^[p] resp. m^[p^2] = (x_1^{p^2}, ..., x_n^{p^2}): the
-    terms of each clause polynomial outside that ideal.  A clause holds iff
-    its witness is nonzero.  For f flagged criterion-certified (homogeneous
-    of degree n in n variables) the clause-2 witness has at most the one
-    term (x_1...x_n)^{p^2-1}, the only monomial of its degree n(p^2-1)
-    outside m^[p^2].
+    polynomials f^{p-1} and f^{p^2-p-1} * delta(f), computed exactly over
+    F_p in the quotient by m^[p] resp. m^[p^2] = (x_1^{p^2}, ..., x_n^{p^2})
+    (the powers and delta(f) from divided-power layers, see
+    ``quasi2_test``): the terms of each clause polynomial outside that
+    ideal.  A clause holds iff its witness is nonzero.  For f flagged
+    criterion-certified (homogeneous of degree n in n variables) the
+    clause-2 witness has at most the one term (x_1...x_n)^{p^2-1}, the only
+    monomial of its degree n(p^2-1) outside m^[p^2].
     """
 
     f_split: bool
@@ -74,15 +79,17 @@ class Verdict:
 
 def _clause1(f: Poly) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
     """f, f^{p-2} and f^{p-1} modulo (x_1^p, ..., x_n^p) as packed-key
-    term maps (see ``ring``): f is packed once, and the third, the clause-1
-    witness, is built from the second by one more product."""
+    term maps (see ``ring``): f is packed once, and both powers come from
+    one run of ``witt.divided_power_layers`` at cut p, as
+    f^{p-2} = (p-2)! L_{p-2} = L_{p-2} and f^{p-1} = (p-1)! L_{p-1} = -L_{p-1}
+    by Wilson's theorem.  The third is the clause-1 witness."""
     if f.is_zero():
         raise ZeroInputError("zero polynomial")
     ring = f.ring
     p = ring.char
     terms = f.packed()
-    low = ring.pow_terms(terms, p - 2, p)
-    return terms, low, ring.mul_terms(low, terms, p)
+    low, top = divided_power_layers(ring, terms, p - 2, p - 1, p)
+    return terms, low, scale_terms(top, -1, p)
 
 
 def fedder_test(f: Poly) -> bool:
@@ -106,11 +113,16 @@ def quasi2_test(f: Poly) -> Verdict:
     f^{p-2} that clause 1 builds on, is already reduced mod m^[p^2], and
     f^{p-1} mod m^[p^2] is computed only when that Frobenius factor is
     nonzero.
-    f is packed once, every power and product stays a packed-key term map
-    (``PolyRing.pow_terms``, ``mul_terms``, ``frobenius_terms``), and only
-    the witnesses are unpacked.  delta_carry runs only when the power
-    factor f^{p^2-p-1} mod m^[p^2] is nonzero; when it is 0, so is the
-    clause-2 witness, whatever delta(f) is.
+    Every power and delta(f) come from the divided-power layers of
+    ``witt.divided_power_layers``, over F_p with no lift and no powering
+    chain: f^{p-2} and f^{p-1} mod m^[p] from one run at cut p, f^{p-1}
+    mod m^[p^2] = -L_{p-1} from a run at cut p^2, and delta(f) = -L_p from
+    ``delta_carry``, a second run at cut p^2.  delta_carry runs only when
+    the power factor f^{p^2-p-1} mod m^[p^2] is nonzero; when it is 0, so
+    is the clause-2 witness, whatever delta(f) is.  f is packed here once
+    (``delta_carry`` packs its own), every power and product stays a
+    packed-key term map (``PolyRing.mul_terms``, ``frobenius_terms``), and
+    only delta and the witnesses are unpacked.
     For certified f (homogeneous of degree n in n variables) the clause-2
     polynomial is homogeneous of degree n(p^2-1), and a term outside
     m^[p^2] has every exponent at most p^2-1, so only (x_1...x_n)^{p^2-1}
@@ -133,7 +145,8 @@ def quasi2_test(f: Poly) -> Verdict:
         )
     power = ring.frobenius_terms(low, p)
     if power:
-        power = ring.mul_terms(power, ring.pow_terms(terms, p - 1, q), q)
+        (layer,) = divided_power_layers(ring, terms, p - 1, p - 1, q)
+        power = ring.mul_terms(power, scale_terms(layer, -1, p), q)
     clause2 = {}
     if power:
         delta = delta_carry(f, q).packed()

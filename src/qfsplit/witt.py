@@ -37,6 +37,14 @@ raises ExponentOverflowError for an exponent past 2^63 - 1).  Results share
 maps with their operands, so no operation mutates an operand's map: every
 map an operation writes into is one it built itself.
 
+The carry delta(f) of [f] = f([x_1], ..., [x_n]) + V(delta(f)) in W_2
+never leaves F_p either: it is -L_p, one layer of the truncated product
+prod_i E(a_i m_i T) over the terms a_i m_i of f, with E(u) the exponential
+series cut below u^p (``divided_power_layers``, whose docstring proves it).
+The same run gives the powers f^k = k! L_k for k < p, which the
+hypersurface clauses read, so neither needs a lift to Z/p^2 or a powering
+chain.
+
 The ghost route stays as the reference the tests compare against and as
 the builder of tau: lift each coordinate to its representative in [0, p),
 build w_k = sum_{i<=k} p^i a_i^{p^{k-i}} over Z, operate componentwise,
@@ -53,6 +61,7 @@ from typing import Sequence
 
 from .ring import (
     NO_CUT,
+    ExponentOverflowError,
     Poly,
     PolyRing,
     RingMismatchError,
@@ -425,35 +434,113 @@ def _digit_trie(terms: dict[tuple[int, int], int], p: int) -> tuple:
     )
 
 
+def divided_power_layers(
+    ring: PolyRing, terms: Terms, low: int, top: int, q: int = NO_CUT
+) -> list[Terms]:
+    """The layers L_low, ..., L_top of f = sum_i a_i m_i, the packed term
+    map terms over F_p, modulo m^[q], for 0 <= low <= top <= p:
+
+        L_j = [T^j] prod_i E(a_i m_i T),   E(u) = sum_{0 <= l < p} u^l / l!,
+
+    so L_j = sum over the alpha with |alpha| = j and every alpha_i < p of
+    prod_i a_i^{alpha_i} m_i^{alpha_i} / alpha_i!, read in F_p.  They give
+
+        f^k = k! L_k for k < p,   delta(f) = -L_p.
+
+    Proof.  The multinomial theorem gives f^k = sum_{|alpha| = k}
+    k! / prod_i alpha_i! * prod_i (a_i m_i)^{alpha_i}, and for k < p every
+    alpha_i < p, so f^k = k! L_k.  For delta, lift each a_i to [0, p):
+    f^p - sum_i (a_i m_i)^p is the sum over |alpha| = p with every
+    alpha_i < p of binom(p; alpha) prod_i (a_i m_i)^{alpha_i}, since the
+    alpha with some alpha_i = p are exactly the term powers it subtracts.
+    For those alpha, binom(p; alpha) / p = (p - 1)! / prod_i alpha_i!, and
+    (p - 1)! = -1 mod p (Wilson), so delta(f) = -L_p mod p.  Lifts of a_i
+    congruent mod p change the sum only by multiples of p^2, so no integer
+    above p is needed.  The cut to m^[q] commutes with the recurrence
+    because exponents only grow along it: a term of a layer whose exponent
+    reaches q leads only to terms that reach q.
+
+    The product is taken one term at a time, in place, highest layer first:
+    L_j += sum_{0 < l <= j} L_{j-l} (a_i m_i)^l / l!.  Each power l*m_i is
+    built by repeated addition and stops at the cut, so a term's reach, the
+    most it can raise a layer, is its number of uncut powers.  After term
+    i, a layer whose index plus the reach of the terms left is below low
+    can no longer reach low and is dropped.  Keys follow the cut rule of
+    ``PolyRing._cut``: an uncut power or a kept product key with an
+    exponent past 2^63 - 1 raises ExponentOverflowError (also when its term
+    cancels), and no field spills into the next, since every summand's
+    fields stay below 2^63.
+    """
+    p = ring.char
+    bias, mask = ring._cut(q), ring._mask
+    cut = mask << 1
+    steps = []  # per term: (l, biased key of m^l, a^l / l!) for the uncut l
+    for key, a in terms.items():
+        powers, k, c = [], 0, 1
+        for l in range(1, min(p - 1, top) + 1):
+            k += key
+            if (k + bias) & cut:
+                break
+            if k & mask:
+                raise ExponentOverflowError("exponent overflow in a divided power")
+            c = c * a * pow(l, -1, p) % p
+            powers.append((l, k + bias, c))
+        steps.append(powers)
+    reach = sum(len(powers) for powers in steps)
+    layers = [ring.cut_terms({0: 1}, q)] + [{} for _ in range(top)]
+    for powers in steps:
+        reach -= len(powers)
+        floor = max(low - reach, 0)
+        for j in range(top, floor - 1, -1):
+            out: Terms = {}
+            get = out.get
+            for l, kb, c in powers:
+                if l > j:
+                    break
+                for k, v in layers[j - l].items():
+                    s = k + kb
+                    if not s & cut:
+                        out[s] = get(s, 0) + v * c
+            layer = layers[j]
+            for s, v in out.items():
+                s -= bias
+                if s & mask:
+                    raise ExponentOverflowError("exponent overflow in a divided power")
+                if v := (layer.get(s, 0) + v) % p:
+                    layer[s] = v
+                elif s in layer:
+                    del layer[s]
+        for j in range(floor):
+            layers[j] = {}
+    return layers[low : top + 1]
+
+
 def delta_carry(f: Poly, q: int | None = None) -> Poly:
     """Carry polynomial of f = sum a_I x^I over F_p:
 
         (1/p) * ((sum a_I x^I)^p - sum (a_I x^I)^p)
 
     with each coefficient lifted to its representative in [0, p), then
-    reduced mod p.  Only the quotient mod p is read, so the lift's p-th
-    power and the term powers are taken mod p^2.  It is the defect of
-    Teichmuller additivity: [f] = f([x_1], ..., [x_n]) + V(delta_carry(f))
-    in W_2.
+    reduced mod p.  It is the defect of Teichmuller additivity:
+    [f] = f([x_1], ..., [x_n]) + V(delta_carry(f)) in W_2.
 
-    With a bound q the result is delta(f) modulo m^[q] = (x_1^q, ..., x_n^q),
-    i.e. delta(f).truncate(q): the lift's p-th power is taken in the
-    quotient by m^[q] mod p^2 (``PolyRing.pow_terms`` at modulus p^2), and
-    only the term powers (a_I x^I)^p with every exponent of pI below q are
-    subtracted.  Both steps commute with truncation, and so does the exact
-    division by p, because m^[q] is a monomial ideal.  Without q the bound
-    is ``ring.NO_CUT``, which cuts nothing, so the result is the full
-    delta(f).
-
-    The lift runs on packed keys (see ``ring``): a key is the same in F_p
-    and in Z/p^2, so f is packed once, the p-th power, the subtraction and the
-    division by p work on one term map (``_lift_delta``), and the result is
-    unpacked once.
+    It is -L_p of ``divided_power_layers``, whose docstring proves it, so
+    it needs no lift to Z/p^2 and no p-th power: f is packed once, the
+    layer is built over F_p, and the result is unpacked once.  With a bound
+    q the result is delta(f) modulo m^[q] = (x_1^q, ..., x_n^q), i.e.
+    delta(f).truncate(q); without q the bound is ``ring.NO_CUT``, which
+    cuts nothing, so the result is the full delta(f).
     """
     ring = f.ring
     if not ring.char:
         raise ValueError("delta_carry needs prime characteristic")
-    return ring.from_packed(_lift_delta(ring, f.packed(), NO_CUT if q is None else q))
+    return ring.from_packed(_delta(ring, f.packed(), NO_CUT if q is None else q))
+
+
+def _delta(ring: PolyRing, terms: Terms, q: int) -> Terms:
+    """delta of the packed term map terms modulo m^[q], packed: -L_p."""
+    p = ring.char
+    return scale_terms(divided_power_layers(ring, terms, p, p, q)[0], -1, p)
 
 
 def delta_of_power(f: Poly, k: int, q: int | None = None) -> Poly:
@@ -474,10 +561,10 @@ def delta_of_power(f: Poly, k: int, q: int | None = None) -> Poly:
     f^k; so A^k - (f^k)([x]) = V(F(eps)).  [f^k] = (f^k)([x]) + V(delta(f^k))
     then gives the identity.
 
-    Modulo m^[q] the identity needs delta(f) mod m^[q] (``_lift_delta``,
-    the routine behind ``delta_carry``), and f^{k-1} and e only modulo
-    m^[r], r = ceil(q/p): x^{pJ} lies outside m^[q] exactly when every
-    exponent of J is below r, and then pJ < q.  One power chain over Z/p^2
+    Modulo m^[q] the identity needs delta(f) mod m^[q], -L_p of
+    ``divided_power_layers`` as in ``delta_carry``, and f^{k-1} and e only
+    modulo m^[r], r = ceil(q/p): x^{pJ} lies outside m^[q] exactly when
+    every exponent of J is below r, and then pJ < q.  One power chain over Z/p^2
     gives both: e' = (sum T(a_I) x^I)^{k-1} mod (p^2, m^[r]) is f^{k-1}
     mod p, and e = e' * (sum T(a_I) x^I).  delta(f) is skipped when
     k F(f^{k-1}) is 0 mod m^[q].  f is packed once and the result unpacked
@@ -499,33 +586,13 @@ def delta_of_power(f: Poly, k: int, q: int | None = None) -> Poly:
     power = ring.pow_terms(lift, k - 1, r, square)  # e'
     out: Terms = {}
     if factor := {key: b for key, c in power.items() if (b := c * k % p)}:
-        out = ring.mul_terms(_frobenius(ring, factor), _lift_delta(ring, terms, q), q)
+        out = ring.mul_terms(_frobenius(ring, factor), _delta(ring, terms, q), q)
     eps = {}
     for key, c in ring.mul_terms(power, lift, r, square).items():
         if t := (c - pow(c, p, square)) // p % p:
             eps[key] = t
     add_terms(out, _frobenius(ring, eps), p)
     return ring.from_packed(out)
-
-
-def _lift_delta(ring: PolyRing, terms: Terms, q: int) -> Terms:
-    """delta of the packed term map terms modulo m^[q], packed: the lift
-    mod p^2 of ``delta_carry``."""
-    p = ring.char
-    square = p * p
-    power = ring.pow_terms(terms, p, q, square)
-    # the terms whose p-th power survives: every exponent below ceil(q / p);
-    # mod p^2 the key of such a power can be missing from the lift's power
-    for k, c in ring.cut_terms(terms, -(-q // p)).items():
-        power[k * p] = power.get(k * p, 0) - pow(c, p, square)
-    out = {}
-    for k, c in power.items():
-        quotient, remainder = divmod(c, p)
-        if remainder:
-            raise ArithmeticError(f"coefficient {c} not divisible by {p}")
-        if r := quotient % p:
-            out[k] = r
-    return out
 
 
 def eval_at_teichmuller(f: Poly, n: int) -> WittVector:
@@ -542,7 +609,7 @@ def eval_at_teichmuller(f: Poly, n: int) -> WittVector:
 def teichmuller_identity_sides(f: Poly) -> tuple[WittVector, WittVector]:
     """The two sides of [f] = f([x]) + V(delta_carry(f)) in W_2."""
     lhs = WittVector.teichmuller(f, 2)
-    carry = WittVector._of(f.ring, ({}, _lift_delta(f.ring, lhs._coords[0], NO_CUT)))
+    carry = WittVector(f.ring, [f.ring.zero(), delta_carry(f)])
     return lhs, eval_at_teichmuller(f, 2) + carry
 
 

@@ -2,12 +2,15 @@
 product and negative equals the ghost route's answer, no operation changes
 its operands, equal vectors hash equal, the carry polynomial delta computed
 modulo m^[q] equals the full one truncated, delta of a power taken by the
-identity of ``delta_of_power`` equals delta of the power itself, and two
-packed routes equal the Poly-based code they replaced, kept here as the
-reference, down to where ExponentOverflowError is raised: delta's Z lift,
-and the kernel of sums, products and the Horner carry on packed-key term
-maps."""
+identity of ``delta_of_power`` equals delta of the power itself, the
+divided-power layers equal the truncated powers over their factorials and
+minus delta's definition over Z (``lifted_delta``), and the packed kernel
+of sums, products and the Horner carry equals the Poly-based code it
+replaced, kept here as the reference.  Both comparisons reach down to where
+ExponentOverflowError is raised."""
 
+import itertools
+import math
 import operator
 
 import pytest
@@ -17,7 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from qfsplit.ring import NO_CUT, ExponentOverflowError, Poly, PolyRing  # noqa: E402
+from qfsplit.ring import NO_CUT, ExponentOverflowError, Poly, PolyRing, scale_terms  # noqa: E402
 from qfsplit.witt import (  # noqa: E402
     WittVector,
     _carry,
@@ -25,6 +28,7 @@ from qfsplit.witt import (  # noqa: E402
     _scalar_carry,
     delta_carry,
     delta_of_power,
+    divided_power_layers,
 )
 
 
@@ -132,9 +136,9 @@ def test_bounded_delta_is_the_truncated_delta(case):
 
 
 def lifted_delta(f: Poly) -> Poly:
-    """delta(f) by the Poly route over Z that the packed lift replaced:
-    lift the coefficients, subtract the term powers from the p-th power,
-    divide by p exactly and reduce mod p."""
+    """delta(f) by its definition over Z, the reference for the layers'
+    delta: lift the coefficients, subtract the term powers from the p-th
+    power, divide by p exactly and reduce mod p."""
     p = f.ring.char
     lifted = f.lift_integers()
     term_powers = lifted.ring.from_terms(
@@ -150,27 +154,110 @@ def test_packed_delta_is_the_lifted_delta(case):
     assert delta_carry(f) == lifted_delta(f)
 
 
+@st.composite
+def layer_cases(draw):
+    """(f, low, top, q) for ``divided_power_layers``: f over F_p,
+    p in {2, 3, 5, 7, 11}, in 1-4 variables, either a few terms of
+    exponent up to p + 1 or a dense support (every monomial of total degree
+    at most 2, or at most 1 in 4 variables at p = 11, where the lifted
+    delta's 11th power over Z outgrows a test), and any 0 <= low <= top <= p."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    nvars = draw(st.integers(1, 4))
+    ring = PolyRing(p, ("x", "y", "z", "w")[:nvars])
+    coeff = st.integers(1, p - 1)
+    if draw(st.booleans()):
+        degree = 1 if (p, nvars) == (11, 4) else 2
+        grid = itertools.product(range(degree + 1), repeat=nvars)
+        support = [e for e in grid if sum(e) <= degree]
+        f = ring.from_terms({e: draw(coeff) for e in support})
+    else:
+        exps = st.tuples(*[st.integers(0, p + 1) for _ in range(nvars)])
+        f = ring.from_terms(dict(draw(st.lists(st.tuples(exps, coeff), max_size=5))))
+    low = draw(st.integers(0, p))
+    top = draw(st.integers(low, p))
+    return f, low, top, draw(st.sampled_from([1, p, p + 1, p * p, p * p + 1, NO_CUT]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(layer_cases())
+@example((PolyRing(3, ("x", "y")).parse("x + y"), 0, 3, NO_CUT))
+@example((PolyRing(5, ("x", "y", "z")).parse("x^3 + y^3 + z^3"), 3, 4, 5))  # clause 1
+@example((PolyRing(5, ("x", "y", "z")).parse("x^3 + y^3 + z^3"), 4, 5, 25))  # clause 2
+def test_layers_are_the_powers_over_their_factorials_and_minus_delta(case):
+    """L_k = f^k / k! modulo m^[q] for k < p (``PolyRing.pow_terms``), and
+    L_p = -delta(f) modulo m^[q] (the lifted delta, truncated)."""
+    f, low, top, q = case
+    ring = f.ring
+    p = ring.char
+    layers = divided_power_layers(ring, f.packed(), low, top, q)
+    assert len(layers) == top - low + 1
+    for k, layer in enumerate(layers, start=low):
+        if k < p:
+            power = ring.pow_terms(f.packed(), k, q)
+            expected = scale_terms(power, pow(math.factorial(k), -1, p), p)
+            assert layer == expected, k
+        else:
+            assert ring.from_packed(layer) == -lifted_delta(f).truncate(min(q, 2**63)), k
+
+
 @pytest.mark.parametrize(
-    "p, top, raises",
+    "p, top, lift_raises",
     [
-        (2, 2**62, True),  # x^(2^63) in the square
+        (2, 2**62, True),  # x^(2^63) in the lift's square
         (3, (2**63 - 1) // 3, False),  # the cube of x^top is x^(2^63 - 2)
-        (3, (2**63 - 1) // 3 + 1, True),
+        (3, (2**63 - 1) // 3 + 1, True),  # the cube of x^top passes 2^63 - 1
     ],
 )
-def test_delta_at_the_exponent_limit(p, top, raises):
-    # delta of x^top + y: the packed route raises exactly where the lifted
-    # route does, and the bound p^2 cuts x^top before its power is taken
+def test_delta_at_the_exponent_limit(p, top, lift_raises):
+    # delta of x^N + y, N = top, by hand: ((x^N + y)^2 - x^(2N) - y^2) / 2
+    # = x^N y at p = 2, and ((x^N + y)^3 - x^(3N) - y^3) / 3
+    # = x^(2N) y + x^N y^2 at p = 3.  The lift forms the term power x^(pN),
+    # which the layers never do, so delta is exact wherever x^(2N) is in
+    # range; the bound p^2 cuts x^N before any of its powers is formed
     ring = PolyRing(p, ("x", "y"))
     f = ring.from_terms({(top, 0): 1, (0, 1): 1})
-    if raises:
+    by_hand = {2: {(top, 1): 1}, 3: {(2 * top, 1): 1, (top, 2): 1}}[p]
+    assert delta_carry(f) == ring.from_terms(by_hand)
+    if lift_raises:
         with pytest.raises(ExponentOverflowError):
             lifted_delta(f)
-        with pytest.raises(ExponentOverflowError):
-            delta_carry(f)
     else:
         assert delta_carry(f) == lifted_delta(f)
     assert delta_carry(f, p * p).is_zero()
+
+
+@pytest.mark.parametrize(
+    "p, terms",
+    [
+        # x^(2N) = x^(2^63) is kept in layer 2 (a term power), N = 2^62
+        (3, {(2**62, 0): 1, (0, 1): 1}),
+        # x^(4N) = x^(2^63 + 4) is kept in layer 4, N = 2^61 + 1
+        (5, {(2**61 + 1, 0): 1, (0, 1): 1}),
+        # x^N times x^N y is x^(2^63) y, kept in layer 2 (a product key)
+        (2, {(2**62, 0): 1, (2**62, 1): 1}),
+    ],
+)
+def test_delta_raises_past_the_exponent_limit(p, terms):
+    # a kept exponent past 2^63 - 1 raises, and so does the lift; the bound
+    # p^2 cuts every term of f with such an exponent
+    ring = PolyRing(p, ("x", "y"))
+    f = ring.from_terms(terms)
+    with pytest.raises(ExponentOverflowError):
+        delta_carry(f)
+    with pytest.raises(ExponentOverflowError):
+        lifted_delta(f)
+    assert delta_carry(f, p * p).is_zero()
+
+
+def test_layers_cut_before_the_exponent_limit():
+    # the layers raise only for a kept exponent: x^(2N) = x^(2^63) is cut at
+    # q = 2^63, and a top layer below 2 never forms it
+    ring = PolyRing(3, ("x", "y"))
+    f = ring.from_terms({(2**62, 0): 1, (0, 1): 1})
+    assert delta_carry(f, 2**63) == ring.from_terms({(2**62, 2): 1})
+    assert divided_power_layers(ring, f.packed(), 1, 1) == [f.packed()]
+    with pytest.raises(ExponentOverflowError):
+        divided_power_layers(ring, f.packed(), 2, 2)
 
 
 @st.composite
