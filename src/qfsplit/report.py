@@ -9,7 +9,6 @@ reproducible.
 from __future__ import annotations
 
 import json
-import re
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -17,7 +16,7 @@ from typing import Any
 from . import __version__
 from .criteria import Verdict, ZeroInputError, height_search
 from .localcoh import DoubleCover, LocalCohAnalysis, analyze
-from .ring import Poly, PolyRing
+from .ring import Poly, PolyRing, identifiers
 
 SCHEMA_VERSION = 1
 
@@ -73,7 +72,8 @@ class CatalogEntry:
 
 
 def infer_variables(text: str) -> tuple[str, ...]:
-    return tuple(sorted(set(re.findall(r"[A-Za-z_][A-Za-z_0-9]*", text))))
+    """The names in text, sorted, by the parser's identifier rule."""
+    return tuple(sorted(set(identifiers(text))))
 
 
 def _prime_ring(p: int, variables: tuple[str, ...]) -> PolyRing:

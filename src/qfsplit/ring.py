@@ -38,13 +38,29 @@ ExponentOverflowError.  ``*`` is the product at the no-cut bound
 The pair loop of every product (``multiply_terms``) and the add loop of
 every sum (``add_terms``) are module functions that ``Poly`` and the Witt
 kernel share; a Witt vector stores its coordinates as packed-key term maps,
-so its sums and products neither pack nor unpack.
+so its sums and products neither pack nor unpack.  A ``*`` with a one-term
+operand and a ``**`` of a one-term base pack nothing: they shift or scale
+exponent tuples, and raise ExponentOverflowError exactly where the packed
+route does.  Nearly every product and power that parsing makes is one of
+those.
+
+``PolyRing.parse`` reads expr := ['-'] term (('+'|'-') term)*, term :=
+power ('*' power)*, power := atom ['^' INT], atom := INT | NAME | '('
+expr ')'.  The text is scanned into tokens once, by one regular
+expression, and the recursive descent runs over the tokens; each sum,
+product and power it reads is a ``Poly`` +, * or **.  INT is ASCII 0-9;
+a NAME starts with a character that passes str.isalpha() or is "_" and
+goes on with characters that pass str.isalnum() or are "_"; whitespace is
+what str.isspace() accepts.  ``identifiers`` lists the names of a text by
+the same scan.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 from itertools import chain
+from operator import add
 from typing import Collection, Iterable, Iterator, Mapping
 
 MAX_EXPONENT = 2**31 - 1  # largest exponent the parser accepts
@@ -299,7 +315,9 @@ class PolyRing:
         return Poly(self, {(0,) * self.nvars: c}, _internal=True)
 
     def gen(self, name: str) -> "Poly":
-        return self.monomial({name: 1})
+        i = self.var_index(name)
+        exps = (0,) * i + (1,) + (0,) * (self.nvars - i - 1)
+        return Poly(self, {exps: 1}, _internal=True)
 
     def monomial(self, powers: Mapping[str, int], coeff: int = 1) -> "Poly":
         exps = [0] * self.nvars
@@ -403,9 +421,27 @@ class Poly:
             out = scale_terms(self._terms, other, self.ring.char)
             return Poly(self.ring, out, _internal=True)
         self._check_ring(other)
+        if len(self._terms) == 1:
+            return self._shift(other)
+        if len(other._terms) == 1:
+            return other._shift(self)
         return self._accumulate(other, NO_CUT)
 
     __rmul__ = __mul__
+
+    def _shift(self, other: "Poly") -> "Poly":
+        """self * other for a one-term self: other's exponent tuples shifted
+        by self's, in other's term order, with no packing.  No term cancels
+        (a product of two nonzero coefficients is nonzero mod a prime and
+        over Z), and ExponentOverflowError is raised, as by
+        ``multiply_terms``, exactly when a shifted exponent passes
+        2^63 - 1."""
+        ((exps, c),) = self._terms.items()
+        p = self.ring.char
+        out = {tuple(map(add, exps, e)): c * d % p if p else c * d for e, d in other._terms.items()}
+        if max(chain.from_iterable(out), default=0) > _EXPONENT_LIMIT:
+            raise ExponentOverflowError("exponent overflow in product")
+        return Poly(self.ring, out, _internal=True)
 
     def _accumulate(self, other: "Poly", q: int) -> "Poly":
         """self * other modulo m^[q] (``PolyRing.mul_terms``): both operands
@@ -445,11 +481,21 @@ class Poly:
         """f^e; over F_p, f^e = prod_k (f^{d_k})^{p^k} over the base-p digits
         d_k of e, each outer power a Frobenius power: exact and far cheaper
         than binary powering for Frobenius-sized exponents.  f is packed
-        once and the power unpacked once."""
+        once and the power unpacked once.  A one-term base is not packed:
+        its power has every exponent times e and coefficient c^e (mod p).
+        Every power the packed route forms on the way divides that one term,
+        so both raise ExponentOverflowError exactly when an exponent times
+        e passes 2^63 - 1."""
         if e < 0:
             raise ValueError("negative exponent")
         ring = self.ring
         p = ring.char
+        if len(self._terms) == 1:
+            ((exps, c),) = self._terms.items()
+            if max(exps, default=0) * e > _EXPONENT_LIMIT:
+                raise ExponentOverflowError("exponent overflow in power")
+            coeff = pow(c, e, p) if p else c**e
+            return Poly(ring, {tuple(x * e for x in exps): coeff}, _internal=True)
         terms = self.packed()
         if not p or e < p:
             return ring.from_packed(ring.pow_terms(terms, e))
@@ -577,107 +623,143 @@ class Poly:
         return f"Poly({self.ring!r}, {self.render()})"
 
 
+# One token after optional whitespace: an ASCII integer, a run of word
+# characters, or any other single character.  In str patterns \s matches
+# exactly the characters str.isspace() accepts, and \w those str.isalnum()
+# accepts and "_".  [0-9] rather than str.isdigit(): that would also take
+# superscripts, which int() rejects, and other scripts' digits, which it
+# reads.
+_TOKEN = re.compile(r"\s*([0-9]+|\w+|\S)")
 _DIGITS = frozenset("0123456789")
 
 
+def _is_name(token: str) -> bool:
+    """Whether a token is a name: its first character passes isalpha() or
+    is "_" (the rest are word characters)."""
+    return token[:1].isalpha() or token[:1] == "_"
+
+
+def _tokens(text: str) -> list[str]:
+    """The tokens of text, closed by "" for its end.  A word run is one
+    token only if it is a name; one that starts with a non-ASCII digit or a
+    numeric sign such as "²" gives that character alone, and the scan goes
+    on after it.  ASCII text needs no such check, since an ASCII word run
+    that does not start with a digit starts with a letter or "_"."""
+    if text.isascii():
+        tokens = _TOKEN.findall(text)
+    else:
+        tokens, match, pos = [], _TOKEN.match, 0
+        while m := match(text, pos):
+            token, pos = m[1], m.end()
+            if not (token[0] in _DIGITS or _is_name(token)):
+                token, pos = token[0], m.start(1) + 1
+            tokens.append(token)
+    tokens.append("")
+    return tokens
+
+
+def identifiers(text: str) -> list[str]:
+    """The names in text, in order, by the parser's identifier rule."""
+    return [token for token in _tokens(text) if _is_name(token)]
+
+
 class _Parser:
-    """Recursive-descent parser for the polynomial grammar.
+    """Recursive-descent parser for the polynomial grammar, over the token
+    list of ``_tokens``.
 
     expr   := ['-'] term (('+'|'-') term)*
     term   := power ('*' power)*
     power  := atom ['^' INT]
-    atom   := INT | VAR | '(' expr ')'
+    atom   := INT | NAME | '(' expr ')'
 
-    INT is ASCII 0-9 only; str.isdigit() would also take superscripts,
-    which int() rejects, and other scripts' digits, which it reads.
+    INT is a run of ASCII digits 0-9.  NAME starts with a character that
+    passes str.isalpha() or is "_" and goes on with characters that pass
+    str.isalnum() or are "_".  Whitespace (str.isspace()) separates tokens.
+    An error names the position of the token it stopped at (len(text) at
+    the end), found only when it is raised.
     """
 
     def __init__(self, ring: PolyRing, text: str):
         self.ring = ring
         self.text = text
-        self.pos = 0
+        self.tokens = _tokens(text)
+        self.i = 0
+
+    def _error(self, message: str, i: int, offset: int = 0) -> PolyParseError:
+        """The error at offset characters into token i.  Only whitespace
+        lies between two tokens, and a token starts with a character that
+        is not whitespace, so each token's first occurrence after the end
+        of the one before is where it was scanned."""
+        text, tokens, pos = self.text, self.tokens, 0
+        for token in tokens[:i]:
+            pos = text.index(token, pos) + len(token)
+        start = text.index(tokens[i], pos) if tokens[i] else len(text)
+        return PolyParseError(message, start + offset)
 
     def parse(self) -> Poly:
         value = self._expr()
-        self._skip_ws()
-        if self.pos != len(self.text):
-            raise PolyParseError(f"unexpected character {self.text[self.pos]!r}", self.pos)
+        token = self.tokens[self.i]
+        if token:
+            raise self._error(f"unexpected character {token[0]!r}", self.i)
         return value
 
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
     def _expr(self) -> Poly:
-        negate = False
-        if self._peek() == "-":
-            self.pos += 1
-            negate = True
+        tokens = self.tokens
+        negate = tokens[self.i] == "-"
+        if negate:
+            self.i += 1
         value = self._term()
         if negate:
             value = -value
         while True:
-            ch = self._peek()
-            if ch == "+":
-                self.pos += 1
+            op = tokens[self.i]
+            if op == "+":
+                self.i += 1
                 value = value + self._term()
-            elif ch == "-":
-                self.pos += 1
+            elif op == "-":
+                self.i += 1
                 value = value - self._term()
             else:
                 return value
 
     def _term(self) -> Poly:
         value = self._power()
-        while self._peek() == "*":
-            self.pos += 1
+        while self.tokens[self.i] == "*":
+            self.i += 1
             value = value * self._power()
         return value
 
     def _power(self) -> Poly:
         base = self._atom()
-        if self._peek() == "^":
-            self.pos += 1
-            e = self._integer("exponent expected")
-            if e > MAX_EXPONENT:
-                raise PolyParseError(f"exponent {e} exceeds bound {MAX_EXPONENT}", self.pos)
-            return base**e
-        return base
+        if self.tokens[self.i] != "^":
+            return base
+        self.i += 1
+        digits = self.tokens[self.i]
+        if digits[:1] not in _DIGITS:
+            raise self._error("exponent expected", self.i)
+        e = int(digits)
+        if e > MAX_EXPONENT:
+            raise self._error(f"exponent {e} exceeds bound {MAX_EXPONENT}", self.i, len(digits))
+        self.i += 1
+        return base**e
 
     def _atom(self) -> Poly:
-        ch = self._peek()
-        if ch == "(":
-            self.pos += 1
+        token = self.tokens[self.i]
+        if _is_name(token):
+            if token not in self.ring._index:
+                raise self._error(f"unknown variable {token!r}", self.i)
+            self.i += 1
+            return self.ring.gen(token)
+        if token[:1] in _DIGITS:
+            self.i += 1
+            return self.ring.constant(int(token))
+        if token == "(":
+            self.i += 1
             value = self._expr()
-            if self._peek() != ")":
-                raise PolyParseError("missing ')'", self.pos)
-            self.pos += 1
+            if self.tokens[self.i] != ")":
+                raise self._error("missing ')'", self.i)
+            self.i += 1
             return value
-        if ch in _DIGITS:
-            return self.ring.constant(self._integer("integer expected"))
-        if ch.isalpha() or ch == "_":
-            start = self.pos
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-            ):
-                self.pos += 1
-            name = self.text[start : self.pos]
-            if name not in self.ring._index:
-                raise PolyParseError(f"unknown variable {name!r}", start)
-            return self.ring.gen(name)
-        if ch == "":
-            raise PolyParseError("unexpected end of input", self.pos)
-        raise PolyParseError(f"unexpected character {ch!r}", self.pos)
-
-    def _integer(self, message: str) -> int:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
-            self.pos += 1
-        if start == self.pos:
-            raise PolyParseError(message, self.pos)
-        return int(self.text[start : self.pos])
+        if not token:
+            raise self._error("unexpected end of input", self.i)
+        raise self._error(f"unexpected character {token!r}", self.i)

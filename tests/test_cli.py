@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from qfsplit.cli import main
+from qfsplit.cli import _ring_for, main
 from qfsplit.report import (
     CatalogEntry,
     CatalogError,
@@ -100,6 +100,16 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["flags"] == ["non-homogeneous-criterion"]
 
+    @pytest.mark.parametrize("poly", ["\u03b1^2 + \u03b2^2 + \u03b3^2", "x\u00e9^2 + y^2 + z^2"])
+    def test_variables_are_inferred_by_the_parser_rule(self, capsys, poly):
+        # a smooth quadric in three variables with non-ASCII names
+        code, out, err = run_cli(capsys, "check", "--p", "5", poly)
+        assert (code, out.strip(), err) == (0, "F-split (height 1)", "")
+
+    def test_parse_error_names_its_position(self, capsys):
+        code, out, err = run_cli(capsys, "check", "--p", "5", "x^")
+        assert (code, out, err) == (2, "", "error: exponent expected (position 2)\n")
+
     def test_entry_error_exit_two(self, capsys, monkeypatch):
         def fail(f):
             raise RuntimeError("analysis failed")
@@ -169,6 +179,17 @@ class TestWittCommands:
         code, out, _ = run_cli(capsys, "witt", "add", "--p", "2", "[1]", "[1]")
         assert code == 0
         assert out == "(0; 1)\n"
+
+    @pytest.mark.parametrize(
+        "texts,variables",
+        [
+            (["[1]", "[1]"], ("x",)),
+            (["(2; 1)", "3"], ("x",)),
+            (["(y; x)", "[\u03b1*x]"], ("x", "y", "\u03b1")),
+        ],
+    )
+    def test_operand_ring_infers_variables_with_x_for_constants(self, texts, variables):
+        assert _ring_for(3, texts).variables == variables
 
     def test_mul_vectors(self, capsys):
         code, out, _ = run_cli(capsys, "witt", "mul", "--p", "2", "(x; 1)", "(y; 1)")

@@ -81,6 +81,56 @@ class TestParse:
         with pytest.raises(PolyParseError):
             ring.parse(text)
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "unexpected end of input (position 0)"),
+            ("   ", "unexpected end of input (position 3)"),
+            ("x^", "exponent expected (position 2)"),
+            ("x^ ", "exponent expected (position 3)"),
+            ("x^-1", "exponent expected (position 2)"),
+            ("x^\u00b2", "exponent expected (position 2)"),
+            ("2x", "unexpected character 'x' (position 1)"),
+            ("x**2", "unexpected character '*' (position 2)"),
+            ("(x", "missing ')' (position 2)"),
+            ("((x) ", "missing ')' (position 5)"),
+            ("x)", "unexpected character ')' (position 1)"),
+            ("x + ", "unexpected end of input (position 4)"),
+            ("-", "unexpected end of input (position 1)"),
+            ("x+-y", "unexpected character '-' (position 2)"),
+            ("x^2^3", "unexpected character '^' (position 3)"),
+            ("1 2", "unexpected character '2' (position 2)"),
+            ("x^2147483648", "exponent 2147483648 exceeds bound 2147483647 (position 12)"),
+            ("x + y^ 2147483647999", "exponent 2147483647999 exceeds bound 2147483647 (position 20)"),
+            ("w", "unknown variable 'w' (position 0)"),
+            ("x + xy", "unknown variable 'xy' (position 4)"),
+            ("\u00b2", "unexpected character '\u00b2' (position 0)"),
+            ("\u00b2x", "unexpected character '\u00b2' (position 0)"),
+            ("x + \u0663y", "unexpected character '\u0663' (position 4)"),
+            ("x\u0663 + y", "unknown variable 'x\u0663' (position 0)"),
+            ("x\u00b2", "unknown variable 'x\u00b2' (position 0)"),
+            ("\u2118", "unexpected character '\u2118' (position 0)"),
+        ],
+    )
+    def test_malformed_input_message_and_position(self, text, message):
+        # each message and position as the character-by-character parser
+        # gave them; "\u2118" is a Python identifier but not a name here
+        ring = PolyRing(5, ("x", "y", "\u2118"))
+        with pytest.raises(PolyParseError) as err:
+            ring.parse(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text", ["x\x1c+ y", "\u3000x +\ty\n", "x\u2028+\u00a0y"])
+    def test_unicode_whitespace_separates_tokens(self, r5xy, text):
+        # every character str.isspace() accepts, "\x1c" (a file separator)
+        # and the ideographic space included
+        assert r5xy.parse(text) == r5xy.parse("x + y")
+
+    def test_unicode_names(self):
+        ring = PolyRing(3, ("\u03b1", "x\u00e9", "_1"))
+        f = ring.parse("\u03b1^2 + 2*x\u00e9*_1")
+        assert f.term_map() == {(2, 0, 0): 1, (0, 1, 1): 2}
+
 
 class TestArithmetic:
     def test_freshman_dream_char2(self):

@@ -4,9 +4,13 @@ and ``pow_trunc`` against a term-by-term reference over F_p and over Z, in
 quotient by (x_1^q, ..., x_n^q), where truncated products and powers must
 equal the truncated full results at every bound, the named ones 1,
 2^63 - 1, 2^63 and 2^64 included.  Also the packed keys themselves: their
-Frobenius scaling at the limit, and their hashes."""
+Frobenius scaling at the limit, and their hashes; the one-term products and
+powers against the packed route; and the parser: its token scan against a
+character loop, and rendered term maps parsed back."""
 
 import itertools
+import re
+import sys
 
 import pytest
 
@@ -15,7 +19,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from qfsplit.ring import ExponentOverflowError, PolyRing  # noqa: E402
+from qfsplit.ring import (  # noqa: E402
+    ExponentOverflowError,
+    PolyParseError,
+    PolyRing,
+    _tokens,
+    identifiers,
+)
 
 PRIMES = [2, 3, 5, 7]
 VARIABLES = ("x", "y", "z", "w")
@@ -293,3 +303,241 @@ def test_packed_keys_of_a_dense_grid_hash_apart(nvars, values):
     ring = PolyRing(2, VARIABLES[:nvars])
     grid = ring.from_terms(dict.fromkeys(itertools.product(values, repeat=nvars), 1))
     assert len({hash(k) for k in grid.packed()}) == len(values) ** nvars
+
+
+def packed_product(a, b):
+    """a * b by the packed route: both operands packed, ``mul_terms`` at no
+    cut, the result unpacked."""
+    ring = a.ring
+    return ring.from_packed(ring.mul_terms(a.packed(), b.packed()))
+
+
+def packed_power(a, e):
+    """a^e by the packed route: ``pow_terms`` for e < p and over Z, else the
+    base-p digit loop, each digit power scaled by ``frobenius_terms``."""
+    ring, p = a.ring, a.ring.char
+    terms = a.packed()
+    if not p or e < p:
+        return ring.from_packed(ring.pow_terms(terms, e))
+    result, factor = {0: 1}, 1
+    while e:
+        e, d = divmod(e, p)
+        if d:
+            result = ring.mul_terms(result, ring.frobenius_terms(ring.pow_terms(terms, d), factor))
+        factor *= p
+    return ring.from_packed(result)
+
+
+def assert_same_or_both_overflow(fast, reference):
+    """fast() equals reference(), and raises ExponentOverflowError exactly
+    when reference() does."""
+    try:
+        expected = reference()
+    except ExponentOverflowError:
+        with pytest.raises(ExponentOverflowError):
+            fast()
+    else:
+        got = fast()
+        assert got == expected
+        assert list(got.term_map()) == list(expected.term_map())
+
+
+LIMIT_EXPONENTS = [0, 1, 2, 2**31 - 1, 2**62, LIMIT // 3, LIMIT // 3 + 1, LIMIT]
+
+
+@st.composite
+def one_term_operands(draw):
+    """(one-term poly, poly of 0-4 terms) over F_p or Z in 0-4 variables,
+    exponents from LIMIT_EXPONENTS."""
+    p = draw(st.sampled_from(PRIMES + [0]))
+    ring = PolyRing(p, VARIABLES[: draw(st.integers(0, 4))])
+    exps = st.tuples(*[st.sampled_from(LIMIT_EXPONENTS) for _ in ring.variables])
+    coeff = st.integers(1, p - 1) if p else st.integers(-4, 4).filter(bool)
+    one = ring.from_terms({draw(exps): draw(coeff)})
+    other = ring.from_terms(dict(draw(st.lists(st.tuples(exps, coeff), max_size=4))))
+    return one, other
+
+
+@settings(deadline=None, max_examples=300)
+@given(one_term_operands())
+def test_one_term_products_match_the_packed_route(case):
+    # the one-term path shifts exponent tuples; the result, its term order
+    # and its overflows are those of the packed product, on either side
+    one, other = case
+    assert_same_or_both_overflow(lambda: one * other, lambda: packed_product(one, other))
+    assert_same_or_both_overflow(lambda: other * one, lambda: packed_product(other, one))
+
+
+@settings(deadline=None, max_examples=300)
+@given(one_term_operands(), st.data())
+def test_one_term_powers_match_the_packed_route(case, data):
+    one, _ = case
+    p = one.ring.char
+    small = [0, 1, 2, 3, 4, 5, 70]
+    e = data.draw(st.sampled_from(small + ([p, p + 1, p * p - 1, 2, 2**31 - 1, 3**20] if p else [])))
+    assert_same_or_both_overflow(lambda: one**e, lambda: packed_power(one, e))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_one_term_powers_at_the_exponent_limit(p):
+    ring = PolyRing(p, ("x", "y"))
+    # 2 (2^31 - 1)^2 = 2^63 - 2^33 + 2 is kept, 3 (2^31 - 1)^2 is not
+    kept = ring.parse("((x^2147483647)^2147483647)^2")
+    assert kept == ring.monomial({"x": 2 * (2**31 - 1) ** 2})
+    assert kept == packed_power(ring.monomial({"x": (2**31 - 1) ** 2}), 2)
+    with pytest.raises(ExponentOverflowError):
+        ring.parse("((x^2147483647)^2147483647)^3")
+    with pytest.raises(ExponentOverflowError):
+        packed_power(ring.monomial({"x": (2**31 - 1) ** 2}), 3)
+    half = ring.monomial({"x": 2**62})
+    for product in (lambda: half * half, lambda: packed_product(half, half)):
+        with pytest.raises(ExponentOverflowError):
+            product()
+    # an exponent of exactly 2^63 - 1 is kept, one more raises
+    top = ring.monomial({"y": LIMIT})
+    assert top**1 == top == packed_power(top, 1)
+    third = ring.monomial({"y": LIMIT // 3})
+    assert third**3 == ring.monomial({"y": LIMIT - 1}) == packed_power(third, 3)
+    with pytest.raises(ExponentOverflowError):
+        ring.monomial({"y": LIMIT // 3 + 1}) ** 3
+    assert ring.parse("(y*x^2147483647)^2147483647").term_map() == {
+        ((2**31 - 1) ** 2, 2**31 - 1): 1
+    }
+
+
+def test_a_zero_coefficient_leaves_no_term_to_overflow():
+    # 2 is 0 at p = 2, so 2*x^(2^31 - 1) is the zero polynomial and its
+    # power is 0; at p = 3 the power is one term
+    assert PolyRing(2, ("x",)).parse("(2*x^2147483647)^2147483647").is_zero()
+    power = PolyRing(3, ("x",)).parse("(2*x^2147483647)^2147483647")
+    assert power.term_map() == {((2**31 - 1) ** 2,): 2}
+
+
+WHITESPACE = st.text(alphabet=" \t\n\x1c\u3000", max_size=2)
+
+
+@st.composite
+def rendered_polys(draw):
+    """(ring, term map, text): text renders the term map with random
+    whitespace, coefficients as products of integer factors (each taken mod
+    p), variable powers split into factors or nested (x^a)^b, terms
+    subtracted with the negated coefficient, and parenthesised groups."""
+    p = draw(st.sampled_from(PRIMES))
+    names = draw(st.sampled_from([("x",), ("x", "y"), ("x", "y", "z"), ("α", "xé", "_1")]))
+    ring = PolyRing(p, names)
+    exps = st.tuples(*[st.integers(0, 6) for _ in names])
+    terms = draw(st.dictionaries(exps, st.integers(1, p - 1), max_size=5))
+
+    def coefficient(c):
+        # factors whose product is c mod p, each literal shifted by a
+        # multiple of p
+        a = draw(st.integers(1, p - 1))
+        factors = [c] if draw(st.booleans()) else [a, c * pow(a, -1, p) % p]
+        return [[str(f + p * draw(st.sampled_from([0, 1, 10**30])))] for f in factors]
+
+    def power(name, e):
+        choice = draw(st.integers(0, 3))
+        if choice == 0 and e > 1:
+            a = draw(st.integers(1, e - 1))
+            return [[name, "^", str(a)], [name, "^", str(e - a)]]
+        if choice == 1:
+            b = draw(st.sampled_from([d for d in range(1, e + 1) if e % d == 0]))
+            return [["(", name, "^", str(e // b), ")", "^", str(b)]]
+        return [[name] if e == 1 and choice == 2 else [name, "^", str(e)]]
+
+    def term(e, c):
+        factors = [f for name, k in zip(names, e) if k for f in power(name, k)]
+        if c != 1 or not factors or draw(st.booleans()):
+            factors += coefficient(c)
+        factors = draw(st.permutations(factors))
+        return [tok for i, f in enumerate(factors) for tok in (["*"] if i else []) + f]
+
+    def summed(pieces):
+        # the tokens of a sum of (sign, tokens) summands, with no leading "+"
+        out = []
+        for i, (sign, toks) in enumerate(pieces):
+            out += ([sign] if i or sign == "-" else []) + toks
+        return out
+
+    pieces = []
+    for e, c in terms.items():
+        negative = draw(st.booleans())
+        pieces.append(("-" if negative else "+", term(e, p - c if negative else c)))
+    if len(pieces) > 1 and draw(st.booleans()):
+        # a parenthesised group of the first summands, raised to 1 or not
+        cut = draw(st.integers(2, len(pieces)))
+        suffix = [")", "^", "1"] if draw(st.booleans()) else [")"]
+        pieces = [("+", ["("] + summed(pieces[:cut]) + suffix)] + pieces[cut:]
+    tokens = summed(pieces) or ["0"]
+    text = draw(WHITESPACE) + "".join(tok + draw(WHITESPACE) for tok in tokens)
+    return ring, terms, text
+
+
+@settings(deadline=None, max_examples=200)
+@given(rendered_polys())
+def test_rendered_term_maps_parse_to_their_polys(case):
+    ring, terms, text = case
+    assert ring.parse(text) == ring.from_terms(terms)
+
+
+def test_regex_classes_are_the_str_predicates():
+    # the token pattern's \s is str.isspace() and its \w is str.isalnum()
+    # or "_", on every code point
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
+    assert re.findall(r"\w", every) == [c for c in every if c.isalnum() or c == "_"]
+
+
+def reference_tokens(text):
+    """(token, position) pairs by a character loop: whitespace skipped, a
+    run of ASCII digits, a name (first character alphabetic or "_", then
+    alphanumeric or "_"), or any other single character."""
+    tokens, pos = [], 0
+    while pos < len(text):
+        ch, start = text[pos], pos
+        pos += 1
+        if ch.isspace():
+            continue
+        if ch in "0123456789":
+            while pos < len(text) and text[pos] in "0123456789":
+                pos += 1
+        elif ch.isalpha() or ch == "_":
+            while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
+                pos += 1
+        tokens.append((text[start:pos], start))
+    return tokens
+
+
+TRICKY = "x y_1 23 + - * ^ ( ) \t\n\x1c\u3000\u00b2\u00b3\u0663\u00bd\u2167\u00e9\u03b1\u2118\u4e00"
+tricky_text = st.text(alphabet=TRICKY, max_size=30) | st.text(max_size=20)
+
+
+@settings(deadline=None, max_examples=400)
+@given(tricky_text)
+def test_tokens_match_the_character_loop(text):
+    # non-ASCII digits and numeric signs (superscripts, fractions, Roman
+    # numerals) are word characters but start no name
+    reference = reference_tokens(text)
+    assert _tokens(text) == [token for token, _ in reference] + [""]
+    names = [t for t, _ in reference if t[0].isalpha() or t[0] == "_"]
+    assert identifiers(text) == names
+
+
+@settings(deadline=None, max_examples=400)
+@given(tricky_text)
+def test_parse_errors_point_at_a_token(text):
+    # every error position is the start of a token, the end of the text,
+    # or the end of an integer (an exponent past the bound)
+    ring = PolyRing(5, ("x", "y_1", "\u03b1"))
+    reference = reference_tokens(text)
+    allowed = {start for _, start in reference} | {len(text)}
+    allowed |= {start + len(t) for t, start in reference if t[0] in "0123456789"}
+    try:
+        ring.parse(text)
+    except PolyParseError as err:
+        assert err.position in allowed
+        token = next((t for t, start in reference if start == err.position), "")
+        if "unexpected character" in str(err):
+            assert str(err).startswith(f"unexpected character {token[0]!r}")
+    except ExponentOverflowError:
+        pass
