@@ -19,7 +19,6 @@ carry class only.  The carry class rests on delta(h) modulo
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 from types import MappingProxyType
 
@@ -45,8 +44,7 @@ class DoubleCover:
     __slots__ = ("p", "g", "ring_xy", "ring_xyz", "neg_g", "_frobenius_numerator")
 
     def __init__(self, p: int, g: Poly):
-        ring_xy = PolyRing(p, ("x", "y"))
-        if g.ring != ring_xy:
+        if g.ring.char != p or g.ring.variables != ("x", "y"):
             raise ValueError("g must live in GF(p)[x, y]")
         if g.is_zero():
             raise ValueError("g must be nonzero")
@@ -54,7 +52,7 @@ class DoubleCover:
             raise ValueError("g must have zero constant term (g in (x,y))")
         self.p = p
         self.g = g
-        self.ring_xy = ring_xy
+        self.ring_xy = g.ring
         self.ring_xyz = PolyRing(p, ("x", "y", "z"))
         self.neg_g = -self.ring_xyz.from_terms(
             {exps + (0,): c for exps, c in g.term_map().items()}
@@ -381,136 +379,114 @@ def quasi_homogeneous_grading(g: Poly) -> tuple[int, int, int] | None:
 
 
 def has_isolated_singularity(cover: DoubleCover) -> bool:
-    """Jacobian check that the origin is the only singular point of the
-    affine surface z^2 + g = 0: True exactly when some pure powers x^N, y^N
-    lie in J = (g_x, g_y) (+ (g) when p is odd), so those generators vanish
-    nowhere else in the (x, y)-plane.  The test is global, not local: a
-    cover whose singularity at the origin is isolated but which has a second
-    singular point gives False (z^2 + y^2 - x^2 (x-1)^2 at p = 5, also
-    singular at (1, 0)).
+    """Jacobian check that the singularity of R = k[[x,y,z]]/(z^2 + g) at
+    the origin is isolated: True exactly when the origin is an isolated
+    point of V(J), or not on it, for J = (g_x, g_y) (+ (g) when p is odd),
+    over the algebraic closure of F_p.  The question is local on purpose:
+    R and its local cohomology at the closed point see only the germ of
+    the surface at the origin, so a second singular point elsewhere does
+    not concern the socle criterion (z^2 + y^2 - x^2 (x-1)^2 at p = 5,
+    also singular at (1, 0), gives True).
 
-    The decision is exact for every g.  A reduced grevlex Groebner basis of
-    J in F_p[x, y] (``_groebner_basis``) gives A = F_p[x, y]/J: A is
-    finite-dimensional iff the basis has leading monomials x^a and y^b, and
-    then delta = dim A is the number of standard monomials.  If A is not
-    finite-dimensional, no x^N, y^N both lie in J (they would leave only
-    the monomials x^u y^v with u, v < N in A), and the answer is False.
-    Otherwise x^N, y^N lie in J for some N iff multiplication by x and by y
-    is nilpotent on A, and a nilpotent operator on a delta-dimensional space
-    has x^delta = 0; so the answer is whether x^delta and y^delta reduce to
-    0 modulo the basis.  J = (1) gives delta = 0 and True.  By the
-    Nullstellensatz, x and y are nilpotent in A iff V(J) lies in {0} over
-    the algebraic closure of F_p, that is, iff the origin is the only
-    singular point; so False means the surface is shown not to have an
-    isolated singularity.
+    F_p[x, y] is a UFD of dimension 2, so every nonzero J is h J'' with h
+    the gcd of its generators and V(J'') finite.  So the answer is
+    h(0, 0) != 0, and False when every generator is 0.  h is taken over
+    F_p[x][y] by Gauss's lemma: the gcd of the contents in F_p[x] times the
+    gcd of the primitive parts, the latter by Euclid on pseudo-remainders
+    made primitive (``_pseudo_remainder``).  The gcd runs over the
+    generators one at a time, and the answer is True as soon as the running
+    gcd is nonzero at the origin, since every divisor of it is too.
     """
     g, p = cover.g, cover.p
-    gens = [g.derivative("x").term_map(), g.derivative("y").term_map()]
-    if p != 2:
-        gens.append(g.term_map())
-    basis = _groebner_basis(gens, p)
-    leads = [lead for lead, _ in basis]
-    a = next((u for u, v in leads if not v), None)
-    b = next((v for u, v in leads if not u), None)
-    if a is None or b is None:
-        return False
-    # the standard monomials x^u y^v, u < a, are those with v below every
-    # lead x^s y^t with s <= u (the lead y^b is one)
-    delta = sum(min(t for s, t in leads if s <= u) for u in range(a))
-    return not (_remainder({(delta, 0): 1}, basis, p) or _remainder({(0, delta): 1}, basis, p))
-
-
-# Groebner bases of ideals of F_p[x, y] in grevlex order (x > y), on term
-# maps {(u, v): c}.  A basis is a list of (lead, tail): the monic element is
-# x^lead + tail, and the tail holds the other terms.
-
-
-def _grevlex(m: tuple[int, int]) -> tuple[int, int]:
-    return m[0] + m[1], m[0]
-
-
-def _remainder(terms: dict, basis: list, p: int) -> dict:
-    """The remainder of terms on division by basis: no term of it is
-    divisible by a lead of basis."""
-    work, rest = dict(terms), {}
-    while work:
-        m = max(work, key=_grevlex)
-        c = work.pop(m)
-        for (s, t), tail in basis:
-            du, dv = m[0] - s, m[1] - t
-            if du >= 0 and dv >= 0:
-                for (u, v), e in tail.items():
-                    key = (u + du, v + dv)
-                    if r := (work.get(key, 0) - c * e) % p:
-                        work[key] = r
-                    else:
-                        work.pop(key, None)
-                break
-        else:
-            rest[m] = c
-    return rest
-
-
-def _interreduce(polys: list, p: int) -> list:
-    """A basis of the ideal of polys whose leads divide no other lead and
-    whose tails are reduced modulo the other elements.  An element whose
-    lead a newer lead divides is reduced again, never dropped."""
-    basis, todo = [], [f for f in polys if f]
-    while todo:
-        f = _remainder(todo.pop(), basis, p)
-        if not f:
+    gens = [g.derivative("x"), g.derivative("y")] + ([g] if p != 2 else [])
+    content, primitive = [], []
+    for gen in gens:
+        if gen.is_zero():
             continue
-        lead = max(f, key=_grevlex)
-        inverse = pow(f.pop(lead), -1, p)
-        tail = {m: c * inverse % p for m, c in f.items()}
-        kept = []
-        for (s, t), other in basis:
-            if s >= lead[0] and t >= lead[1]:
-                todo.append({(s, t): 1, **other})
-            else:
-                kept.append(((s, t), other))
-        basis = kept + [(lead, tail)]
-    for i, (lead, tail) in enumerate(basis):
-        basis[i] = (lead, _remainder(tail, basis[:i] + basis[i + 1 :], p))
-    return basis
+        f, c = _primitive(_coefficients_in_y(gen), p)
+        content = _xgcd(content, c, p)
+        while f:
+            primitive, f = f, _pseudo_remainder(primitive, f, p)
+            f = _primitive(f, p)[0] if f else f
+        if content[0] and primitive[0] and primitive[0][0]:
+            return True
+    return False
 
 
-def _groebner_basis(gens: list, p: int) -> list:
-    """The reduced grevlex Groebner basis of the ideal of gens, by
-    Buchberger's algorithm with the basis interreduced after every new
-    element, pairs taken smallest lcm first.  Pairs of coprime leads are
-    skipped (their S-polynomial reduces to 0).  A pair whose S-polynomial
-    reduced to 0 stays done while both of its leads stay: interreduction
-    keeps the ideal, writes every old element as a combination of the new
-    ones whose terms lie at or below its lead, and changes an element that
-    keeps its lead only below that lead.  So the S-polynomial of a done
-    pair keeps a representation whose terms lie below the lcm of its leads,
-    and when no pair is left the basis meets Buchberger's criterion in that
-    form (lcm representations: Cox, Little and O'Shea, Ideals, Varieties,
-    and Algorithms, ch. 2 section 9)."""
-    basis, done = _interreduce(gens, p), set()
-    while True:
-        leads = {lead: tail for lead, tail in basis}
-        pairs = [
-            ((max(a[0], b[0]), max(a[1], b[1])), a, b)
-            for a, b in combinations(leads, 2)
-            if (min(a[0], b[0]) or min(a[1], b[1])) and frozenset((a, b)) not in done
-        ]
-        if not pairs:
-            return basis
-        lcm, a, b = min(pairs, key=lambda pair: _grevlex(pair[0]))
-        s = {}
-        for lead, sign in ((a, 1), (b, -1)):
-            du, dv = lcm[0] - lead[0], lcm[1] - lead[1]
-            for (u, v), c in leads[lead].items():
-                key = (u + du, v + dv)
-                s[key] = (s.get(key, 0) + sign * c) % p
-        s = _remainder({m: c for m, c in s.items() if c}, basis, p)
-        if s:
-            basis = _interreduce([{lead: 1, **tail} for lead, tail in basis] + [s], p)
-            done = {pair for pair in done if pair <= {lead for lead, _ in basis}}
-        else:
-            done.add(frozenset((a, b)))
+# Polynomials over F_p in x are coefficient lists, lowest degree first,
+# with no trailing zero ([] is 0); those in F_p[x][y] are lists of them,
+# by degree in y, whose last entry is nonzero.
+
+
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _coefficients_in_y(f: Poly) -> list:
+    terms = f.term_map()
+    out = [[0] * (1 + max(u for u, _ in terms)) for _ in range(1 + max(v for _, v in terms))]
+    for (u, v), c in terms.items():
+        out[v][u] = c
+    return [_trim(c) for c in out]
+
+
+def _xmul(a: list, b: list, p: int) -> list:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, c in enumerate(a):
+        for j, e in enumerate(b):
+            out[i + j] = (out[i + j] + c * e) % p
+    return out
+
+
+def _xsub(a: list, b: list, p: int) -> list:
+    out = a + [0] * (len(b) - len(a))
+    for i, e in enumerate(b):
+        out[i] = (out[i] - e) % p
+    return _trim(out)
+
+
+def _xdivmod(a: list, b: list, p: int) -> tuple[list, list]:
+    """Quotient and remainder of a by a nonzero b in F_p[x]."""
+    rest, n = list(a), len(b) - 1
+    quotient = [0] * max(len(a) - n, 0)
+    inverse = pow(b[-1], -1, p)
+    for k in reversed(range(len(quotient))):
+        quotient[k] = c = rest[k + n] * inverse % p
+        for j, e in enumerate(b):
+            rest[k + j] = (rest[k + j] - c * e) % p
+    return quotient, _trim(rest)
+
+
+def _xgcd(a: list, b: list, p: int) -> list:
+    while b:
+        a, b = b, _xdivmod(a, b, p)[1]
+    return a
+
+
+def _primitive(f: list, p: int) -> tuple[list, list]:
+    """The primitive part of a nonzero f in F_p[x][y], up to a unit, and
+    its content."""
+    content = []
+    for c in f:
+        content = _xgcd(content, c, p)
+        if len(content) == 1:
+            return f, content
+    return [_xdivmod(c, content, p)[0] for c in f], content
+
+
+def _pseudo_remainder(a: list, b: list, p: int) -> list:
+    """lc(b)^k a modulo b in F_p[x][y], for a nonzero b: steps
+    a -> lc(b) a - lc(a) y^s b lower the y-degree of a below b's."""
+    lead = b[-1]
+    while len(a) >= len(b):
+        top, shift = a[-1], len(a) - len(b)
+        a = [_xmul(lead, c, p) for c in a]
+        for i, c in enumerate(b):
+            a[i + shift] = _xsub(a[i + shift], _xmul(top, c, p), p)
+        _trim(a)
+    return a
 
 
 @dataclass(frozen=True)
@@ -530,6 +506,13 @@ def analyze(cover: DoubleCover) -> LocalCohAnalysis:
     carry class decides: the cover is 2-quasi-F-split iff the carry escapes
     the span of the Frobenius images at the label bound p(1 + p^2), which
     is the Cech criterion (see frobenius_image_membership).
+
+    The verdict carries ``socle-criterion-verdict`` when the singularity at
+    the origin is shown not isolated (``has_isolated_singularity``).  Only
+    the origin is asked about: the socle criterion reads H^2 supported at
+    the closed point, and local cohomology supported at a closed point
+    depends only on the local ring there, so singular points elsewhere on
+    the affine surface z^2 + g = 0 have no bearing on it.
     """
     flags = [FLAG_ASSUMED_DOMAIN]
     if not has_isolated_singularity(cover):

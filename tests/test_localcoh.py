@@ -52,6 +52,14 @@ class TestDoubleCoverValidation:
         with pytest.raises(ValueError):
             DoubleCover(3, ring.zero())
 
+    # GF(q)[x, y] with q != p, GF(p)[x, y, z], and GF(p)[y, x]
+    OTHER_RINGS = [PolyRing(5, ("x", "y")), PolyRing(3, ("x", "y", "z")), PolyRing(3, ("y", "x"))]
+
+    @pytest.mark.parametrize("ring", OTHER_RINGS, ids=repr)
+    def test_g_from_another_ring_rejected(self, ring):
+        with pytest.raises(ValueError, match=r"g must live in GF\(p\)\[x, y\]"):
+            DoubleCover(3, ring.parse("x^3 + y^4"))
+
 
 class TestNormalForm:
     def test_cancellation(self, e6_p3):

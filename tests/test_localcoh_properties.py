@@ -1,10 +1,10 @@
-"""Property tests: the isolated-singularity check against the capped
-sweep it replaced (one fresh solve for every degree), its Groebner basis
-against Buchberger's criterion in plain ``Poly`` arithmetic, the Witt
-carry class against the direct integer formula and against
-nf(delta(nf(z^p))), the single z-degree of nf(z^p) that the carry class
-reads, and the membership's block walk against the whole box of Frobenius
-columns."""
+"""Property tests: the isolated-singularity check (a gcd in F_p[x, y])
+against a local reference (m^n in J + m^(n+1), by Nakayama) and against
+the global capped sweep it once replaced, whose True must imply its own
+and which it equals on quasi-homogeneous covers; the Witt carry class
+against the direct integer formula and against nf(delta(nf(z^p))), the
+single z-degree of nf(z^p) that the carry class reads, and the
+membership's block walk against the whole box of Frobenius columns."""
 
 import json
 import os
@@ -28,7 +28,6 @@ from qfsplit.localcoh import (  # noqa: E402
     MembershipResult,
     _frobenius_label_holders,
     _frobenius_label_image,
-    _groebner_basis,
     frobenius_h2,
     frobenius_image_membership,
     has_isolated_singularity,
@@ -67,8 +66,8 @@ def jacobian_generators(cover):
 
 
 def reference_isolated(cover, cap=None):
-    """The capped sweep that the Groebner test replaced, as one independent
-    solve per n, x first, then y: True when x^n and y^n, n <= cap, are
+    """The global capped sweep that the exact check replaced, as one
+    independent solve per n, x first, then y: True when x^n and y^n, n <= cap, are
     combinations of the multiples x^u y^v * gen with u + v <= n + d,
     d = deg g.  The cap defaults to the sweep's (d-1)^2 + d.  True is always
     right; False can be wrong, since the cap bounds the multipliers and not
@@ -88,6 +87,31 @@ def reference_isolated(cover, cap=None):
         if _pure_power_in_ideal(ring.monomial({"y": n}), gens, n + d):
             return True
     return False
+
+
+def local_reference_isolated(cover, cap=None):
+    """The origin is an isolated point of V(J), or not on it, iff
+    m^n lies in J + m^(n+1) for some n, m = (x, y) (Nakayama: then m^n
+    lies in J locally).  Each n is one span test in F_p[x, y]/m^(n+1): do
+    the truncated multiples x^a y^b * gen, a + b <= n, span every x^i y^(n-i)?
+    If n passes, so does every larger n, so n runs 0, 1, 3, 7, ... up to
+    the cap, by default the sweep's (d-1)^2 + d.  As for
+    ``reference_isolated``, True is always right."""
+    d = max(2, cover.g.total_degree())
+    cap = (d - 1) * (d - 1) + d if cap is None else cap
+    gens = [gen.term_map() for gen in jacobian_generators(cover)]
+    n = 0
+    while True:
+        span = linalg.GaussianBasis(cover.p)
+        for gen in gens:
+            for a in range(n + 1):
+                for b in range(n + 1 - a):
+                    span.add({(u + a, v + b): c for (u, v), c in gen.items() if u + v + a + b <= n})
+        if all(span.contains({(i, n - i): 1}) for i in range(n + 1)):
+            return True
+        if n >= cap:
+            return False
+        n = min(2 * n + 1, cap)
 
 
 MONOMIALS = [(u, v) for u in range(5) for v in range(5) if 1 <= u + v <= 4]
@@ -115,8 +139,19 @@ def cover(p, g):
 @example(cover(3, "x^2"))  # neither found
 @example(cover(3, "x*y + x^3 + y^3"))  # not quasi-homogeneous: the sweep finds x, y at once
 @example(cover(5, "x^2*y + x*y^3 + x^4"))  # not quasi-homogeneous, isolated
-def test_groebner_isolated_check_matches_the_reference_sweep(cover):
-    assert has_isolated_singularity(cover) == reference_isolated(cover)
+@example(cover(2, "x*y^2 + x^6*y + x^3*y^4 + x^3*y^6"))  # isolated past the sweep's cap
+@example(cover(7, "y^4 + 3*x^2*y^3 + 6*x^3*y^5 + 5*x^5*y^2"))  # not isolated
+@example(cover(5, "x^2"))  # J = (x)
+@example(cover(3, "x + y^5"))  # J = (1)
+@example(cover(2, "x^2 + y^2"))  # g_x = g_y = 0: J = (0)
+@example(cover(5, "y^2 - x^2*(x-1)^2"))  # isolated at the origin, singular at (1, 0)
+def test_isolated_check_matches_the_local_reference(cover):
+    # the global sweep is capped at 13, its own cap at degree 4, the most
+    # the strategy draws; its True is right at any cap
+    isolated = has_isolated_singularity(cover)
+    assert isolated == local_reference_isolated(cover)
+    if reference_isolated(cover, cap=13):
+        assert isolated
 
 
 @st.composite
@@ -137,7 +172,7 @@ def quasi_homogeneous_covers(draw):
 @example(cover(3, "x^2*y^2"))  # not isolated
 @example(cover(3, "x^3 + y^4"))  # E6: odd p divides D = 12, g_x = 0 and g is needed
 @example(cover(7, "x^3 + y^7"))  # odd p divides D = 21
-def test_groebner_isolated_check_matches_the_reference_sweep_on_quasi_homogeneous_covers(cover):
+def test_isolated_check_matches_the_reference_sweep_on_quasi_homogeneous_covers(cover):
     assert has_isolated_singularity(cover) == reference_isolated(cover)
 
 
@@ -159,66 +194,6 @@ def test_isolated_check_builds_no_elimination_basis(monkeypatch, p, g, isolated)
     assert has_isolated_singularity(cover(p, g)) == isolated
 
 
-def grevlex_lead(f):
-    return max(f.term_map(), key=lambda m: (m[0] + m[1], m[0]))
-
-
-def remainder(f, basis):
-    """f on division by the Poly list basis in grevlex order (x > y), in
-    plain Poly arithmetic."""
-    ring, rest = f.ring, f.ring.zero()
-    while not f.is_zero():
-        m = grevlex_lead(f)
-        c = f.term_map()[m]
-        for b in basis:
-            s, t = grevlex_lead(b)
-            if m[0] >= s and m[1] >= t:
-                scale = c * pow(b.term_map()[s, t], -1, ring.char)
-                f = f - b * ring.monomial({"x": m[0] - s, "y": m[1] - t}, scale)
-                break
-        else:
-            term = ring.from_terms({m: c})
-            rest, f = rest + term, f - term
-    return rest
-
-
-def s_polynomial(f, g):
-    ring = f.ring
-    (a, b), (s, t) = grevlex_lead(f), grevlex_lead(g)
-    u, v = max(a, s), max(b, t)
-    left = ring.monomial({"x": u - a, "y": v - b}, pow(f.term_map()[a, b], -1, ring.char))
-    right = ring.monomial({"x": u - s, "y": v - t}, pow(g.term_map()[s, t], -1, ring.char))
-    return f * left - g * right
-
-
-@settings(deadline=None, max_examples=40)
-@given(covers(degree=8))
-@example(cover(2, "x*y^2 + x^6*y + x^3*y^4 + x^3*y^6"))
-@example(cover(7, "y^4 + 3*x^2*y^3 + 6*x^3*y^5 + 5*x^5*y^2"))
-@example(cover(5, "x^2"))  # J = (x): not finite-dimensional
-@example(cover(3, "x + y^5"))  # J = (1)
-def test_isolated_check_basis_is_a_groebner_basis(cover):
-    # Buchberger's criterion on the returned basis: every generator of J
-    # and every S-polynomial (coprime leads too) leaves remainder 0; the
-    # basis is monic and reduced.  A sweep capped at n <= 8 that finds
-    # x^n, y^n in J is right, so the check must then answer True.
-    ring = cover.ring_xy
-    generators = jacobian_generators(cover)
-    basis = _groebner_basis([gen.term_map() for gen in generators], cover.p)
-    polys = [ring.from_terms({lead: 1, **tail}) for lead, tail in basis]
-    for (lead, tail), poly in zip(basis, polys):
-        assert grevlex_lead(poly) == lead and lead not in tail
-        others = [other for other, _ in basis if other != lead]
-        assert not any(u >= s and v >= t for u, v in poly.term_map() for s, t in others)
-    for gen in generators:
-        assert remainder(gen, polys).is_zero()
-    for i, f in enumerate(polys):
-        for g in polys[i + 1 :]:
-            assert remainder(s_polynomial(f, g), polys).is_zero()
-    if reference_isolated(cover, cap=8):
-        assert has_isolated_singularity(cover)
-
-
 def test_isolated_past_the_sweep_cap():
     # the sweep answered False here: it took x^u y^v * gen only up to
     # degree n + d = n + 9 for x^n, y^n, and y^2 needs higher multiples.
@@ -232,6 +207,22 @@ def test_isolated_past_the_sweep_cap():
     assert x**6 == gy
     assert y**2 == (ring.one() + x**2 * w + x**4 * w**2) * gx + y**2 * w**3 * gy
     assert has_isolated_singularity(isolated)
+
+
+# Covers that are not quasi-homogeneous and are singular away from the
+# origin: at (1, 0); at (x0, 0) with x0^4 = -1, outside F_5; and on the
+# y-axis at the roots of 4 + 3y + 2y^4, with the origin smooth (g_x(0, 0) = 4).
+# The global check flagged all three socle-criterion-verdict.
+LOCALLY_ISOLATED = ["y^2 - x^2*(x-1)^2", "4*x^5*y + 4*x*y + x^3*y^3", "4*x + 3*x*y + 2*x*y^4"]
+
+
+@pytest.mark.parametrize("g", LOCALLY_ISOLATED)
+def test_isolated_at_the_origin_but_not_globally(g):
+    local = cover(5, g)
+    assert has_isolated_singularity(local)
+    assert not reference_isolated(local)
+    verdict = localcoh.analyze(local).verdict
+    assert (verdict.f_split, verdict.flags) == (True, ("assumed-domain",))
 
 
 # Non-isolated covers on which the capped sweep ran to its cap: 8.2 s,

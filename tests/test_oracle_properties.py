@@ -94,7 +94,7 @@ def supports(draw):
 # The examples are the two covers of ROADMAP item 14 at p = 7.  The oracle
 # and analyze must each answer in under a second: analyze took 0.33 s and
 # 2.3 s on them while its isolated-singularity check was a capped sweep,
-# and takes milliseconds with the Groebner test (ROADMAP item 11).
+# and takes milliseconds with the gcd test (ROADMAP item 11).
 @settings(derandomize=True, deadline=None, max_examples=30)
 @example((7, {(0, 4): 4, (1, 3): 2, (5, 6): 5}))
 @example((7, {(0, 4): 1, (2, 3): 3, (3, 5): 6, (5, 2): 5}))
